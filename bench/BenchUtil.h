@@ -7,6 +7,8 @@
 #ifndef MGC_BENCH_BENCHUTIL_H
 #define MGC_BENCH_BENCHUTIL_H
 
+#include "Programs.h"
+
 #include "driver/Compiler.h"
 #include "gc/Collector.h"
 #include "vm/VM.h"
@@ -30,6 +32,21 @@ compileOrDie(const char *Name, const char *Source,
     std::exit(1);
   }
   return std::move(R.Prog);
+}
+
+/// The §6 destroy program scaled up: a complete tree of branching factor
+/// \p Branch and depth \p Depth, with \p Iters subtree replacements.
+inline std::string bigDestroy(int Branch, int Depth, int Iters) {
+  std::string S(programs::DestroySource);
+  auto Replace = [&](const std::string &From, const std::string &To) {
+    size_t Pos = S.find(From);
+    if (Pos != std::string::npos)
+      S.replace(Pos, From.size(), To);
+  };
+  Replace("Branch = 3", "Branch = " + std::to_string(Branch));
+  Replace("Depth = 6", "Depth = " + std::to_string(Depth));
+  Replace("Iters = 60", "Iters = " + std::to_string(Iters));
+  return S;
 }
 
 inline void printRule(unsigned Width = 78) {

@@ -105,19 +105,6 @@ BEGIN
 END LeakBench.
 )MG";
 
-std::string bigDestroy(int Branch, int Depth, int Iters) {
-  std::string S(programs::DestroySource);
-  auto Replace = [&](const std::string &From, const std::string &To) {
-    size_t Pos = S.find(From);
-    if (Pos != std::string::npos)
-      S.replace(Pos, From.size(), To);
-  };
-  Replace("Branch = 3", "Branch = " + std::to_string(Branch));
-  Replace("Depth = 6", "Depth = " + std::to_string(Depth));
-  Replace("Iters = 60", "Iters = " + std::to_string(Iters));
-  return S;
-}
-
 struct Workload {
   const char *Name;
   std::string Source;
@@ -133,8 +120,8 @@ std::vector<Workload> &workloads() {
   // so its honest denominator is a run where fulls are periodic, as in a
   // production heap, not back-to-back as in a pressure-cooker heap.
   static std::vector<Workload> W = {
-      {"destroy", bigDestroy(3, 6, 220), 160u << 10, 8u << 10},
-      {"destroy-big", bigDestroy(3, 7, 200), 640u << 10, 16u << 10},
+      {"destroy", bench::bigDestroy(3, 6, 220), 160u << 10, 8u << 10},
+      {"destroy-big", bench::bigDestroy(3, 7, 200), 640u << 10, 16u << 10},
       {"typereg", std::string(programs::TypeRegSource), 128u << 10, 8u << 10},
   };
   return W;

@@ -6,8 +6,9 @@
 ///
 /// \file
 /// Measures stop-the-world pause times (p50/p99/max) and the minimum
-/// mutator utilization (MMU) curve for the §6 benchmark programs plus a
-/// high-thread-count spin mix, at --gc-threads 1, 2, and 4.  Pauses are
+/// mutator utilization (MMU) curve for the §6 benchmark programs, an
+/// MB-scale destroy (destroy-mb: about 3 MB live, recorded but not gated),
+/// and a high-thread-count spin mix, at --gc-threads 1, 2, and 4.  Pauses are
 /// the tracer's per-event TotalNanos (rendezvous + collector span);
 /// pause *intervals* for the MMU computation are reconstructed from the
 /// VM's PostGcHook, which fires at the end of every pause.
@@ -269,6 +270,19 @@ int main() {
     // any legal heap size; it still exercises the identity gates.
     W.HeapBytes = 64u << 10;
     W.LargeLive = W.Name == "typereg" || W.Name == "destroy";
+    Work.push_back(std::move(W));
+  }
+  {
+    // destroy at Branch=4, Depth=8 in a 4 MiB semispace: the copy of a
+    // ~3 MB live set dominates every pause, unlike the §6 sizes, whose
+    // pauses are tens of microseconds.
+    driver::CompilerOptions CO;
+    CO.OptLevel = 2;
+    Workload W;
+    W.Name = "destroy-mb";
+    std::string Src = bench::bigDestroy(4, 8, 300);
+    W.Prog = bench::compileOrDie("destroy-mb", Src.c_str(), CO);
+    W.HeapBytes = 4u << 20;
     Work.push_back(std::move(W));
   }
   {

@@ -26,20 +26,6 @@ using namespace mgc::bench;
 
 namespace {
 
-/// destroy scaled up so collections are frequent and stacks deep.
-std::string bigDestroy(int Branch, int Depth, int Iters) {
-  std::string S(programs::DestroySource);
-  auto Replace = [&](const std::string &From, const std::string &To) {
-    size_t Pos = S.find(From);
-    if (Pos != std::string::npos)
-      S.replace(Pos, From.size(), To);
-  };
-  Replace("Branch = 3", "Branch = " + std::to_string(Branch));
-  Replace("Depth = 6", "Depth = " + std::to_string(Depth));
-  Replace("Iters = 60", "Iters = " + std::to_string(Iters));
-  return S;
-}
-
 struct Row {
   const char *Label;
   vm::VMStats Stats;

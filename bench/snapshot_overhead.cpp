@@ -51,19 +51,6 @@ using namespace mgc;
 
 namespace {
 
-std::string bigDestroy(int Branch, int Depth, int Iters) {
-  std::string S(programs::DestroySource);
-  auto Replace = [&](const std::string &From, const std::string &To) {
-    size_t Pos = S.find(From);
-    if (Pos != std::string::npos)
-      S.replace(Pos, From.size(), To);
-  };
-  Replace("Branch = 3", "Branch = " + std::to_string(Branch));
-  Replace("Depth = 6", "Depth = " + std::to_string(Depth));
-  Replace("Iters = 60", "Iters = " + std::to_string(Iters));
-  return S;
-}
-
 struct Workload {
   const char *Name;
   std::string Source;
@@ -73,8 +60,8 @@ struct Workload {
 
 std::vector<Workload> &workloads() {
   static std::vector<Workload> W = {
-      {"destroy", bigDestroy(3, 6, 60), 48u << 10, 4u << 10},
-      {"destroy-big", bigDestroy(3, 7, 200), 160u << 10, 8u << 10},
+      {"destroy", bench::bigDestroy(3, 6, 60), 48u << 10, 4u << 10},
+      {"destroy-big", bench::bigDestroy(3, 7, 200), 160u << 10, 8u << 10},
       {"typereg", std::string(programs::TypeRegSource), 32u << 10, 4u << 10},
   };
   return W;

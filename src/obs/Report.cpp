@@ -241,12 +241,16 @@ bool obs::readTrace(std::istream &In, TraceReport &R, std::string &Err) {
       Ev.Workers = static_cast<uint32_t>(Rec.getInt("workers", 1));
       if (Ev.Workers > MaxGcWorkers)
         Ev.Workers = MaxGcWorkers;
+      Ev.CopyWasteBytes =
+          static_cast<uint64_t>(Rec.getInt("copy_waste_bytes"));
       for (uint32_t W = 0; W != Ev.Workers; ++W) {
         std::string Key = "w" + std::to_string(W);
         Ev.WorkerTraceNanos[W] =
             static_cast<uint64_t>(Rec.getInt(Key + "_trace_ns"));
         Ev.WorkerCopyNanos[W] =
             static_cast<uint64_t>(Rec.getInt(Key + "_copy_ns"));
+        Ev.WorkerRefills[W] =
+            static_cast<uint64_t>(Rec.getInt(Key + "_refills"));
       }
       R.Events.push_back(Ev);
     } else if (Rec.Type == "req") {
@@ -504,17 +508,29 @@ std::string obs::renderReport(const TraceReport &R, size_t TopN) {
   if (MaxWorkers > 1) {
     Out += "\n-- gc workers --\n";
     for (uint32_t W = 0; W != MaxWorkers && W != MaxGcWorkers; ++W) {
-      uint64_t SumTrace = 0, SumCopy = 0;
+      uint64_t SumTrace = 0, SumCopy = 0, SumRefills = 0;
       for (const GcEvent &E : R.Events)
         if (W < E.Workers) {
           SumTrace += E.WorkerTraceNanos[W];
           SumCopy += E.WorkerCopyNanos[W];
+          SumRefills += E.WorkerRefills[W];
         }
       std::snprintf(Buf, sizeof(Buf),
-                    "  worker %u   trace %12s   copy %12s\n", W,
-                    fmtNanos(SumTrace).c_str(), fmtNanos(SumCopy).c_str());
+                    "  worker %u   trace %12s   copy %12s   refills %llu\n",
+                    W, fmtNanos(SumTrace).c_str(), fmtNanos(SumCopy).c_str(),
+                    static_cast<unsigned long long>(SumRefills));
       Out += Buf;
     }
+    uint64_t Waste = 0;
+    for (const GcEvent &E : R.Events)
+      Waste += E.CopyWasteBytes;
+    std::snprintf(Buf, sizeof(Buf),
+                  "  copy-buffer filler waste %s (%.2f%% of bytes copied)\n",
+                  fmtBytes(Waste).c_str(),
+                  BytesCopied ? 100.0 * static_cast<double>(Waste) /
+                                    static_cast<double>(BytesCopied)
+                              : 0.0);
+    Out += Buf;
   }
 
   // --- Server-workload requests (programs that call ReqDone).
@@ -848,11 +864,12 @@ std::string obs::renderReportJson(const TraceReport &R, size_t TopN) {
     jkey(Out, "gc_workers", Top);
     Out += '[';
     for (uint32_t W = 0; W != MaxWorkers && W != MaxGcWorkers; ++W) {
-      uint64_t SumTrace = 0, SumCopy = 0;
+      uint64_t SumTrace = 0, SumCopy = 0, SumRefills = 0;
       for (const GcEvent &E : R.Events)
         if (W < E.Workers) {
           SumTrace += E.WorkerTraceNanos[W];
           SumCopy += E.WorkerCopyNanos[W];
+          SumRefills += E.WorkerRefills[W];
         }
       if (W)
         Out += ',';
@@ -861,9 +878,15 @@ std::string obs::renderReportJson(const TraceReport &R, size_t TopN) {
       ju(Out, "worker", W, F);
       ju(Out, "trace_ns", SumTrace, F);
       ju(Out, "copy_ns", SumCopy, F);
+      ju(Out, "refills", SumRefills, F);
       Out += '}';
     }
     Out += ']';
+    uint64_t Waste = 0;
+    for (const GcEvent &E : R.Events)
+      Waste += E.CopyWasteBytes;
+    jkey(Out, "copy_waste_bytes", Top);
+    Out += std::to_string(Waste);
   }
 
   // --- Requests.

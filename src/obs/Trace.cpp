@@ -435,6 +435,7 @@ void Tracer::writeEvent(const GcEvent &Ev) {
   field(L, "cache_hits", Ev.CacheHits);
   field(L, "cache_misses", Ev.CacheMisses);
   field(L, "workers", Ev.Workers);
+  field(L, "copy_waste_bytes", Ev.CopyWasteBytes);
   // Per-worker phase spans (the parallel collector's load-balance view).
   // Unknown int keys are harmless to the strict JSONL re-parser — they
   // land in the record's generic int map.
@@ -442,6 +443,7 @@ void Tracer::writeEvent(const GcEvent &Ev) {
     std::string Key = "w" + std::to_string(W);
     field(L, (Key + "_trace_ns").c_str(), Ev.WorkerTraceNanos[W]);
     field(L, (Key + "_copy_ns").c_str(), Ev.WorkerCopyNanos[W]);
+    field(L, (Key + "_refills").c_str(), Ev.WorkerRefills[W]);
   }
   L += "}\n";
   *Stream << L;

@@ -94,9 +94,15 @@ struct GcEvent {
   /// Per-worker stack-walk (root gathering) nanos.  For the serial
   /// collector worker 0 carries the whole StackTrace phase.
   uint64_t WorkerTraceNanos[MaxGcWorkers] = {};
-  /// Per-worker evacuation (forward + scan, including steal idle) nanos.
+  /// Per-worker evacuation (forward + scan, including idle) nanos.
   /// For the serial collector worker 0 carries the whole Copy phase.
   uint64_t WorkerCopyNanos[MaxGcWorkers] = {};
+  /// Parallel full collections: to-space chunks each worker claimed for
+  /// its private copy buffer (0 for serial and minor collections).
+  uint64_t WorkerRefills[MaxGcWorkers] = {};
+  /// Filler bytes the copy buffers left in to-space (Heap::CopyWasteBytes
+  /// delta; 0 for serial and minor collections).
+  uint64_t CopyWasteBytes = 0;
 };
 
 /// Cumulative counters for one allocation site.

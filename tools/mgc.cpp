@@ -614,6 +614,7 @@ int main(int argc, char **argv) {
     jsonField(J, "heap_growths", Machine.TheHeap.HeapGrowths);
     jsonField(J, "nursery_resizes", Machine.TheHeap.NurseryResizes);
     jsonField(J, "heap_capacity_bytes", Machine.TheHeap.capacityBytes());
+    jsonField(J, "copy_waste_bytes", Machine.TheHeap.CopyWasteBytes);
     jsonField(J, "gc_ns", S.GcNanos);
     jsonField(J, "minor_gc_ns", S.MinorGcNanos);
     jsonField(J, "stack_trace_ns", S.StackTraceNanos);
