@@ -29,6 +29,10 @@ struct Sample {
   const char *Expected;
 };
 
+// Without a printer gtest names each case by the raw bytes of the two
+// pointers, which change with the binary's layout and load address.
+void PrintTo(const Sample &S, std::ostream *OS) { *OS << S.File; }
+
 class SamplePrograms : public ::testing::TestWithParam<Sample> {};
 
 TEST_P(SamplePrograms, RunsIdenticallyAcrossConfigurations) {
