@@ -13,6 +13,7 @@
 #include "gc/Collector.h"
 #include "vm/VM.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -47,6 +48,26 @@ inline std::string bigDestroy(int Branch, int Depth, int Iters) {
   Replace("Depth = 6", "Depth = " + std::to_string(Depth));
   Replace("Iters = 60", "Iters = " + std::to_string(Iters));
   return S;
+}
+
+/// Hand-built BENCH_*.json emitters: append `"Key":V` to \p Out, led by
+/// a comma unless \p First.  Floats print \p Prec decimals.
+inline void jf(std::string &Out, const char *Key, double V, bool First = false,
+               int Prec = 3) {
+  char Buf[64];
+  std::snprintf(Buf, sizeof(Buf), "%s\"%s\":%.*f", First ? "" : ",", Key,
+                Prec, V);
+  Out += Buf;
+}
+
+inline void ji(std::string &Out, const char *Key, uint64_t V,
+               bool First = false) {
+  if (!First)
+    Out += ',';
+  Out += '"';
+  Out += Key;
+  Out += "\":";
+  Out += std::to_string(V);
 }
 
 inline void printRule(unsigned Width = 78) {

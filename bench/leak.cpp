@@ -52,6 +52,7 @@
 #include <vector>
 
 using namespace mgc;
+using bench::jf, bench::ji;
 
 namespace {
 
@@ -242,21 +243,6 @@ std::vector<uint32_t> sitesInFunc(const vm::Program &Prog,
       Ids.push_back(Id);
   }
   return Ids;
-}
-
-void jf(std::string &Out, const char *Key, double V, bool First = false) {
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%s\"%s\":%.3f", First ? "" : ",", Key, V);
-  Out += Buf;
-}
-
-void ji(std::string &Out, const char *Key, uint64_t V, bool First = false) {
-  if (!First)
-    Out += ',';
-  Out += '"';
-  Out += Key;
-  Out += "\":";
-  Out += std::to_string(V);
 }
 
 } // namespace

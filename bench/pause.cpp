@@ -51,6 +51,7 @@
 #include <vector>
 
 using namespace mgc;
+using bench::jf, bench::ji;
 
 namespace {
 
@@ -225,21 +226,6 @@ double mmuAt(const std::vector<PauseInterval> &Pauses, uint64_t SpanNs,
     Consider(P.End >= WindowNs ? P.End - WindowNs : 0);
   }
   return Mmu < 0 ? 0 : Mmu;
-}
-
-void jf(std::string &Out, const char *Key, double V, bool First = false) {
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%s\"%s\":%.4f", First ? "" : ",", Key, V);
-  Out += Buf;
-}
-
-void ji(std::string &Out, const char *Key, uint64_t V, bool First = false) {
-  if (!First)
-    Out += ',';
-  Out += '"';
-  Out += Key;
-  Out += "\":";
-  Out += std::to_string(V);
 }
 
 } // namespace
@@ -417,9 +403,9 @@ int main() {
       ji(Json, "pause_p50_ns", C.P50);
       ji(Json, "pause_p99_ns", C.P99);
       ji(Json, "pause_max_ns", C.Max);
-      jf(Json, "mmu_1ms", C.Mmu[0]);
-      jf(Json, "mmu_5ms", C.Mmu[1]);
-      jf(Json, "mmu_20ms", C.Mmu[2]);
+      jf(Json, "mmu_1ms", C.Mmu[0], /*First=*/false, /*Prec=*/4);
+      jf(Json, "mmu_5ms", C.Mmu[1], /*First=*/false, /*Prec=*/4);
+      jf(Json, "mmu_20ms", C.Mmu[2], /*First=*/false, /*Prec=*/4);
       Json += '}';
       std::printf("pause[%s] gc-threads %u: %llu collections, p50 %.1f us, "
                   "p99 %.1f us, max %.1f us, MMU(5ms) %.3f\n",
@@ -432,7 +418,7 @@ int main() {
     Json += "]}";
   }
   Json += "],\"gate\":{";
-  jf(Json, "min_pause_ratio", GatePauseRatio, /*First=*/true);
+  jf(Json, "min_pause_ratio", GatePauseRatio, /*First=*/true, /*Prec=*/4);
   Json += ",\"ratios\":{";
   bool FirstR = true;
   for (size_t I = 0; I != Work.size(); ++I) {
@@ -441,7 +427,7 @@ int main() {
     double Ratio = static_cast<double>(Cells[I][0].Max) /
                    static_cast<double>(std::max<uint64_t>(Cells[I][2].Max,
                                                           1));
-    jf(Json, Work[I].Name.c_str(), Ratio, FirstR);
+    jf(Json, Work[I].Name.c_str(), Ratio, FirstR, /*Prec=*/4);
     FirstR = false;
     std::printf("pause[%s]: max-pause ratio N1/N4 = %.2fx\n",
                 Work[I].Name.c_str(), Ratio);

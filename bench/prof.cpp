@@ -43,6 +43,7 @@
 #include <vector>
 
 using namespace mgc;
+using bench::jf, bench::ji;
 
 namespace {
 
@@ -172,21 +173,6 @@ double leafWeightPct(const obs::Profile &P, const char *Func) {
   return Total ? 100.0 * static_cast<double>(Hot) /
                      static_cast<double>(Total)
                : 0.0;
-}
-
-void jf(std::string &Out, const char *Key, double V, bool First = false) {
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%s\"%s\":%.3f", First ? "" : ",", Key, V);
-  Out += Buf;
-}
-
-void ji(std::string &Out, const char *Key, uint64_t V, bool First = false) {
-  if (!First)
-    Out += ',';
-  Out += '"';
-  Out += Key;
-  Out += "\":";
-  Out += std::to_string(V);
 }
 
 } // namespace

@@ -42,6 +42,7 @@
 #include <vector>
 
 using namespace mgc;
+using bench::jf, bench::ji;
 using namespace mgc::workload;
 
 namespace {
@@ -107,21 +108,6 @@ bool attributionExact(const ServerRunResult &R) {
   for (uint64_t G : R.GcNanos)
     Attributed += G;
   return Attributed + R.UnattributedGcNanos == R.TracerGcNanosTotal;
-}
-
-void jf(std::string &Out, const char *Key, double V, bool First = false) {
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%s\"%s\":%.4f", First ? "" : ",", Key, V);
-  Out += Buf;
-}
-
-void ji(std::string &Out, const char *Key, uint64_t V, bool First = false) {
-  if (!First)
-    Out += ',';
-  Out += '"';
-  Out += Key;
-  Out += "\":";
-  Out += std::to_string(V);
 }
 
 void js(std::string &Out, const char *Key, const std::string &V,
@@ -350,8 +336,8 @@ int main() {
           Json += ',';
         Json += '{';
         ji(Json, "gc_threads", NLevels[LI], /*First=*/true);
-        jf(Json, "rps", C.Rps);
-        jf(Json, "utilization", C.Utilization);
+        jf(Json, "rps", C.Rps, /*First=*/false, /*Prec=*/4);
+        jf(Json, "utilization", C.Utilization, /*First=*/false, /*Prec=*/4);
         ji(Json, "lat_p50_ns", C.P50Ns);
         ji(Json, "lat_p99_ns", C.P99Ns);
         ji(Json, "lat_max_ns", C.MaxNs);

@@ -48,6 +48,7 @@
 #include <vector>
 
 using namespace mgc;
+using bench::jf, bench::ji;
 
 namespace {
 
@@ -144,21 +145,6 @@ struct SizeRow {
   uint64_t Nodes = 0, Edges = 0, Roots = 0;
   uint64_t LiveBytes = 0, EncodedBytes = 0;
 };
-
-void ji(std::string &Out, const char *Key, uint64_t V, bool First = false) {
-  if (!First)
-    Out += ',';
-  Out += '"';
-  Out += Key;
-  Out += "\":";
-  Out += std::to_string(V);
-}
-
-void jf(std::string &Out, const char *Key, double V, bool First = false) {
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%s\"%s\":%.3f", First ? "" : ",", Key, V);
-  Out += Buf;
-}
 
 } // namespace
 

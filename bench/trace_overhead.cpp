@@ -39,6 +39,7 @@
 #include <vector>
 
 using namespace mgc;
+using bench::jf, bench::ji;
 
 namespace {
 
@@ -115,21 +116,6 @@ RunResult runOnce(const vm::Program &Prog, const Workload &W, bool Gen,
     R.FullPauses = Tracer->pausePercentiles(2);
   }
   return R;
-}
-
-void jf(std::string &Out, const char *Key, double V, bool First = false) {
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%s\"%s\":%.3f", First ? "" : ",", Key, V);
-  Out += Buf;
-}
-
-void ji(std::string &Out, const char *Key, uint64_t V, bool First = false) {
-  if (!First)
-    Out += ',';
-  Out += '"';
-  Out += Key;
-  Out += "\":";
-  Out += std::to_string(V);
 }
 
 } // namespace

@@ -420,6 +420,30 @@ std::string obs::renderReport(const TraceReport &R, size_t TopN) {
                   static_cast<unsigned long long>(Dropped), R.Events.size());
     Out += Buf;
   }
+  // The tracer's other bounded buffers: allocations past the survival
+  // buffer are never swept, and request samples past the sample buffer
+  // are missing from the run record's req_instr percentiles.
+  if (uint64_t Dropped =
+          static_cast<uint64_t>(R.Run.getInt("pending_dropped"))) {
+    std::snprintf(Buf, sizeof(Buf),
+                  "WARNING: %llu allocations dropped from the survival "
+                  "buffer; survived/surv%% count only tracked allocations "
+                  "and understate survival\n",
+                  static_cast<unsigned long long>(Dropped));
+    Out += Buf;
+  }
+  if (uint64_t Dropped =
+          static_cast<uint64_t>(R.Run.getInt("requests_dropped"))) {
+    std::snprintf(Buf, sizeof(Buf),
+                  "WARNING: %llu request samples dropped from the sample "
+                  "buffer; the run record's req_instr percentiles cover "
+                  "only the first %llu requests\n",
+                  static_cast<unsigned long long>(Dropped),
+                  static_cast<unsigned long long>(
+                      R.Run.getInt("requests") -
+                      static_cast<int64_t>(Dropped)));
+    Out += Buf;
+  }
 
   // A run that never collected has no pause/volume/survival material: say
   // so instead of rendering a report of empty sections (and keep the
@@ -788,6 +812,10 @@ std::string obs::renderReportJson(const TraceReport &R, size_t TopN) {
       js(Out, "run_error", R.RunError, Top);
     ju(Out, "events_dropped_from_ring",
        static_cast<uint64_t>(R.Run.getInt("events_dropped_from_ring")), Top);
+    ju(Out, "pending_dropped",
+       static_cast<uint64_t>(R.Run.getInt("pending_dropped")), Top);
+    ju(Out, "requests_dropped",
+       static_cast<uint64_t>(R.Run.getInt("requests_dropped")), Top);
   }
 
   // --- Pause breakdown, mirroring Section().

@@ -12,25 +12,28 @@
 //     are interned into a constant pool, and the per-instruction
 //     funcOfPC() binary searches of Call/Ret are folded into the record.
 //
-//  2. VM::execThreaded(): the direct-threaded executor.  Dispatch is
-//     `goto *I->Handler` over a DInstr* iterator — advancing is `++I`, so
-//     the next handler address is computable the moment a handler starts
-//     and the dispatch load mostly hides behind the handler body.  The
+//  2. VM::exec<Threaded>(): the one executor, instantiated for both
+//     dispatch tiers.  Each opcode's body is written once and opens with
+//     both of its entry points, `case MOp::X: L_X:`.  The threaded tier
+//     dispatches with `goto *I->Handler` over a DInstr* iterator —
+//     advancing is `++I`, so the next handler address is computable the
+//     moment a body starts and the dispatch load mostly hides behind it.
+//     The switch tier goes back round a `switch (I->Op)` loop.  The
 //     canonical PC is materialized (I - Code) only at sync points.  The
 //     quantum budget and the retired-instruction count live in locals
 //     synced back to ThreadContext/VMStats at every point the GC
 //     machinery (or an error path) can observe them — before
-//     allocate()/collect(), on every fail, and at quantum end.
+//     allocate()/collect(), on every fail, and at quantum end.  VM::step
+//     is a one-instruction quantum of the switch instantiation.
 //
-//     On top of the 26 generic handlers, installHandlers() selects
-//     *specialized* variants per instruction where the operand pattern
-//     allows it (all-direct moves/compares/arithmetic, one-sided memory
-//     moves, direct branch conditions), eliminating the per-operand
-//     memory-form tests from the hottest paths.  Handlers replicate the
-//     reference interpreter's semantics *mechanically*, including its
-//     quirks (a failing memory read yields 0 and execution continues to
-//     the instruction's remaining effects; the error is only acted on at
-//     the bottom-of-step check, which Jump/Branch/Call/Ret skip), so the
+//     For the threaded tier only, installHandlers() selects *specialized*
+//     variants per instruction where the operand pattern allows it
+//     (all-direct moves/compares/arithmetic, one-sided memory moves,
+//     direct branch conditions), eliminating the per-operand memory-form
+//     tests from the hottest paths.  A variant computes exactly what the
+//     generic body would, including the shared quirks (a failing memory
+//     read yields 0 and execution continues to the instruction's remaining
+//     effects; a Branch error is acted on one instruction late), so the
 //     two tiers stay bit-identical on every observable, not just on the
 //     happy path.
 //
@@ -159,7 +162,7 @@ namespace {
 
 /// Indices of the specialized handler variants that follow the generic
 /// (MOp-ordered) entries in the executor's label table.  A specialized
-/// handler computes exactly what its generic counterpart would, minus the
+/// handler computes exactly what its generic body would, minus the
 /// operand-form tests the translation already answered.
 enum SpecializedHandler : size_t {
   SMovDirect = static_cast<size_t>(MOp::Trap) + 1, ///< Mov, no mem operand.
@@ -180,11 +183,10 @@ enum SpecializedHandler : size_t {
 } // namespace
 
 void VM::installHandlers() {
-#if MGC_COMPUTED_GOTO
   if (Opts.Dispatch != DispatchTier::Threaded)
     return;
   const void *const *Labels = nullptr;
-  execThreaded(nullptr, 0, &Labels);
+  exec<true>(nullptr, 0, &Labels);
   for (DInstr &I : DProg.Code) {
     size_t H = static_cast<size_t>(I.Op);
     bool Direct3 = !I.D.Mem && !I.A.Mem && !I.B.Mem;
@@ -238,28 +240,19 @@ void VM::installHandlers() {
     }
     I.Handler = Labels[H];
   }
-#endif
-}
-
-void VM::runQuantumThreaded(ThreadContext &T, uint64_t Max) {
-#if MGC_COMPUTED_GOTO
-  execThreaded(&T, Max, nullptr);
-#else
-  runQuantumSwitch(T, Max);
-#endif
 }
 
 //===----------------------------------------------------------------------===//
-// The computed-goto executor
+// The executor
 //===----------------------------------------------------------------------===//
 
-#if MGC_COMPUTED_GOTO
-
-bool VM::execThreaded(ThreadContext *TP, uint64_t Max,
-                      const void *const **LabelsOut) {
+template <bool Threaded>
+bool VM::exec(ThreadContext *TP, uint64_t Max,
+              const void *const **LabelsOut) {
   // Handler table: the first 26 entries are in MOp declaration order
   // (codegen/Machine.h); the rest are the specialized variants, in
-  // SpecializedHandler order.
+  // SpecializedHandler order.  Only the threaded tier dispatches through
+  // it, but both instantiations define it, so every label is referenced.
   static const void *const Labels[] = {
       &&L_Mov,        &&L_Add,          &&L_Sub,       &&L_Mul,
       &&L_Div,        &&L_Mod,          &&L_Neg,       &&L_Not,
@@ -307,34 +300,38 @@ bool VM::execThreaded(ThreadContext *TP, uint64_t Max,
     Flushed = Retired;                                                        \
   } while (0)
 
-// Dispatch *I.  The instruction is counted as retired *before* its
-// handler runs, matching the reference step()'s ++Stats.Instrs placement.
-// Control-transfer handlers set I and dispatch; fall-through handlers
-// advance via MGC_FALL.
+// Dispatch *I: the threaded tier jumps straight to its handler, the switch
+// tier goes back round the loop to `switch (I->Op)`.  The instruction is
+// counted as retired *before* its body runs.  Control-transfer bodies set
+// I and dispatch; fall-through bodies advance via MGC_FALL.  (A plain
+// block, not do-while(0): `continue` must reach the dispatch loop.)
 #define MGC_DISPATCH()                                                        \
-  do {                                                                        \
+  {                                                                           \
     if (Remaining == 0) {                                                     \
       MGC_SYNC();                                                             \
       return true;                                                            \
     }                                                                         \
     --Remaining;                                                              \
-    goto *I->Handler;                                                         \
-  } while (0)
+    if constexpr (Threaded)                                                   \
+      goto *I->Handler;                                                       \
+    else                                                                      \
+      continue;                                                               \
+  }
 
-// Bottom-of-step for fall-through instructions: act on a pending error
-// (set by this instruction, or left behind by a preceding Branch whose
-// condition read failed — the reference interpreter's quirk), else
-// advance.  Jump/Branch/Call/Ret bypass this, exactly like the early
-// `return true`s in step().
+// End of a fall-through instruction: act on a pending error (set by this
+// instruction, or left behind by a preceding Branch whose condition read
+// failed), else advance.  Jump/Branch/Call/Ret bypass this, so a Branch
+// error is acted on one instruction late — a quirk both tiers share
+// because they share this code.
 #define MGC_FALL()                                                            \
-  do {                                                                        \
+  {                                                                           \
     if (__builtin_expect(!Error.empty(), 0)) {                                \
       MGC_SYNC();                                                             \
       return false;                                                           \
     }                                                                         \
     ++I;                                                                      \
     MGC_DISPATCH();                                                           \
-  } while (0)
+  }
 
 #define MGC_FAIL(Msg)                                                         \
   do {                                                                        \
@@ -343,336 +340,364 @@ bool VM::execThreaded(ThreadContext *TP, uint64_t Max,
     return false;                                                             \
   } while (0)
 
-  MGC_DISPATCH();
+  // The first dispatch; Max > 0, so there is budget for it.
+  --Remaining;
+  if constexpr (Threaded)
+    goto *I->Handler;
 
-L_Mov:
-  writeD(I->D, Bases, readD(I->A, Bases));
-  MGC_FALL();
+  for (;;) {
+    switch (I->Op) {
+    case MOp::Mov:
+    L_Mov:
+      writeD(I->D, Bases, readD(I->A, Bases));
+      MGC_FALL();
 
-L_Add: {
-  Word A = readD(I->A, Bases), B = readD(I->B, Bases);
-  writeD(I->D, Bases, A + B);
-  MGC_FALL();
-}
+    case MOp::Add:
+    L_Add: {
+      Word A = readD(I->A, Bases), B = readD(I->B, Bases);
+      writeD(I->D, Bases, A + B);
+      MGC_FALL();
+    }
 
-L_Sub: {
-  Word A = readD(I->A, Bases), B = readD(I->B, Bases);
-  writeD(I->D, Bases, A - B);
-  MGC_FALL();
-}
+    case MOp::Sub:
+    L_Sub: {
+      Word A = readD(I->A, Bases), B = readD(I->B, Bases);
+      writeD(I->D, Bases, A - B);
+      MGC_FALL();
+    }
 
-L_Mul: {
-  Word A = readD(I->A, Bases), B = readD(I->B, Bases);
-  writeD(I->D, Bases,
-         static_cast<Word>(static_cast<int64_t>(A) * static_cast<int64_t>(B)));
-  MGC_FALL();
-}
+    case MOp::Mul:
+    L_Mul: {
+      Word A = readD(I->A, Bases), B = readD(I->B, Bases);
+      writeD(I->D, Bases,
+             static_cast<Word>(static_cast<int64_t>(A) *
+                               static_cast<int64_t>(B)));
+      MGC_FALL();
+    }
 
-L_Div: {
-  int64_t B = static_cast<int64_t>(readD(I->B, Bases));
-  if (B == 0)
-    MGC_FAIL("integer division by zero");
-  writeD(I->D, Bases,
-         static_cast<Word>(static_cast<int64_t>(readD(I->A, Bases)) / B));
-  MGC_FALL();
-}
+    case MOp::Div:
+    L_Div: {
+      int64_t B = static_cast<int64_t>(readD(I->B, Bases));
+      if (B == 0)
+        MGC_FAIL("integer division by zero");
+      writeD(I->D, Bases,
+             static_cast<Word>(static_cast<int64_t>(readD(I->A, Bases)) / B));
+      MGC_FALL();
+    }
 
-L_Mod: {
-  int64_t B = static_cast<int64_t>(readD(I->B, Bases));
-  if (B == 0)
-    MGC_FAIL("integer modulus by zero");
-  writeD(I->D, Bases,
-         static_cast<Word>(static_cast<int64_t>(readD(I->A, Bases)) % B));
-  MGC_FALL();
-}
+    case MOp::Mod:
+    L_Mod: {
+      int64_t B = static_cast<int64_t>(readD(I->B, Bases));
+      if (B == 0)
+        MGC_FAIL("integer modulus by zero");
+      writeD(I->D, Bases,
+             static_cast<Word>(static_cast<int64_t>(readD(I->A, Bases)) % B));
+      MGC_FALL();
+    }
 
-L_Neg:
-  writeD(I->D, Bases,
-         static_cast<Word>(-static_cast<int64_t>(readD(I->A, Bases))));
-  MGC_FALL();
+    case MOp::Neg:
+    L_Neg:
+      writeD(I->D, Bases,
+             static_cast<Word>(-static_cast<int64_t>(readD(I->A, Bases))));
+      MGC_FALL();
 
-L_Not:
-  writeD(I->D, Bases, readD(I->A, Bases) == 0 ? 1 : 0);
-  MGC_FALL();
+    case MOp::Not:
+    L_Not:
+      writeD(I->D, Bases, readD(I->A, Bases) == 0 ? 1 : 0);
+      MGC_FALL();
 
-L_CmpEq: {
-  Word A = readD(I->A, Bases), B = readD(I->B, Bases);
-  writeD(I->D, Bases, A == B ? 1 : 0);
-  MGC_FALL();
-}
+    case MOp::CmpEq:
+    L_CmpEq: {
+      Word A = readD(I->A, Bases), B = readD(I->B, Bases);
+      writeD(I->D, Bases, A == B ? 1 : 0);
+      MGC_FALL();
+    }
 
-L_CmpNe: {
-  Word A = readD(I->A, Bases), B = readD(I->B, Bases);
-  writeD(I->D, Bases, A != B ? 1 : 0);
-  MGC_FALL();
-}
+    case MOp::CmpNe:
+    L_CmpNe: {
+      Word A = readD(I->A, Bases), B = readD(I->B, Bases);
+      writeD(I->D, Bases, A != B ? 1 : 0);
+      MGC_FALL();
+    }
 
-L_CmpLt: {
-  Word A = readD(I->A, Bases), B = readD(I->B, Bases);
-  writeD(I->D, Bases,
-         static_cast<int64_t>(A) < static_cast<int64_t>(B) ? 1 : 0);
-  MGC_FALL();
-}
+    case MOp::CmpLt:
+    L_CmpLt: {
+      Word A = readD(I->A, Bases), B = readD(I->B, Bases);
+      writeD(I->D, Bases,
+             static_cast<int64_t>(A) < static_cast<int64_t>(B) ? 1 : 0);
+      MGC_FALL();
+    }
 
-L_CmpLe: {
-  Word A = readD(I->A, Bases), B = readD(I->B, Bases);
-  writeD(I->D, Bases,
-         static_cast<int64_t>(A) <= static_cast<int64_t>(B) ? 1 : 0);
-  MGC_FALL();
-}
+    case MOp::CmpLe:
+    L_CmpLe: {
+      Word A = readD(I->A, Bases), B = readD(I->B, Bases);
+      writeD(I->D, Bases,
+             static_cast<int64_t>(A) <= static_cast<int64_t>(B) ? 1 : 0);
+      MGC_FALL();
+    }
 
-L_CmpGt: {
-  Word A = readD(I->A, Bases), B = readD(I->B, Bases);
-  writeD(I->D, Bases,
-         static_cast<int64_t>(A) > static_cast<int64_t>(B) ? 1 : 0);
-  MGC_FALL();
-}
+    case MOp::CmpGt:
+    L_CmpGt: {
+      Word A = readD(I->A, Bases), B = readD(I->B, Bases);
+      writeD(I->D, Bases,
+             static_cast<int64_t>(A) > static_cast<int64_t>(B) ? 1 : 0);
+      MGC_FALL();
+    }
 
-L_CmpGe: {
-  Word A = readD(I->A, Bases), B = readD(I->B, Bases);
-  writeD(I->D, Bases,
-         static_cast<int64_t>(A) >= static_cast<int64_t>(B) ? 1 : 0);
-  MGC_FALL();
-}
+    case MOp::CmpGe:
+    L_CmpGe: {
+      Word A = readD(I->A, Bases), B = readD(I->B, Bases);
+      writeD(I->D, Bases,
+             static_cast<int64_t>(A) >= static_cast<int64_t>(B) ? 1 : 0);
+      MGC_FALL();
+    }
 
-L_AddrSlot:
-  writeD(I->D, Bases,
-         reinterpret_cast<Word>(&T.Stack[T.FP + I->Index]) +
-             static_cast<Word>(I->AuxImm));
-  MGC_FALL();
+    case MOp::AddrSlot:
+    L_AddrSlot:
+      writeD(I->D, Bases,
+             reinterpret_cast<Word>(&T.Stack[T.FP + I->Index]) +
+                 static_cast<Word>(I->AuxImm));
+      MGC_FALL();
 
-L_AddrGlobal:
-  writeD(I->D, Bases,
-         reinterpret_cast<Word>(&Globals[static_cast<size_t>(I->Index)]) +
-             static_cast<Word>(I->AuxImm));
-  MGC_FALL();
+    case MOp::AddrGlobal:
+    L_AddrGlobal:
+      writeD(I->D, Bases,
+             reinterpret_cast<Word>(&Globals[static_cast<size_t>(I->Index)]) +
+                 static_cast<Word>(I->AuxImm));
+      MGC_FALL();
 
-L_NewObj:
-L_NewArr: {
-  int64_t Len =
-      I->Op == MOp::NewArr ? static_cast<int64_t>(readD(I->A, Bases)) : 0;
-  if (I->Op == MOp::NewArr && Len < 0)
-    MGC_FAIL("negative open array length");
-  CurAllocSite = I->Site;
-  MGC_SYNC(); // allocate() can collect: PC and Instrs must be current.
-  Word Obj = allocate(static_cast<unsigned>(I->Index), Len, T.PC + 1);
-  CurAllocSite = NoAllocSite;
-  if (Obj == 0)
-    return false;
-  writeD(I->D, Bases, Obj);
-  MGC_FALL();
-}
+    case MOp::NewObj:
+    case MOp::NewArr:
+    L_NewObj:
+    L_NewArr: {
+      int64_t Len =
+          I->Op == MOp::NewArr ? static_cast<int64_t>(readD(I->A, Bases)) : 0;
+      if (I->Op == MOp::NewArr && Len < 0)
+        MGC_FAIL("negative open array length");
+      CurAllocSite = I->Site;
+      MGC_SYNC(); // allocate() can collect: PC and Instrs must be current.
+      Word Obj = allocate(static_cast<unsigned>(I->Index), Len, T.PC + 1);
+      CurAllocSite = NoAllocSite;
+      if (Obj == 0)
+        return false;
+      writeD(I->D, Bases, Obj);
+      MGC_FALL();
+    }
 
-L_Call: {
-  if (__builtin_expect(Profiler != nullptr, 0)) {
-    MGC_SYNC(); // The due-check and sample read Stats.Instrs and T.PC.
-    Profiler->onCall(*this, T, I->IsGcPoint,
-                     static_cast<uint32_t>(I - Code) + 1);
+    case MOp::Call:
+    L_Call: {
+      if (__builtin_expect(Profiler != nullptr, 0)) {
+        MGC_SYNC(); // The due-check and sample read Stats.Instrs and T.PC.
+        Profiler->onCall(*this, T, I->IsGcPoint, T.PC + 1);
+      }
+      const CompiledFunction &Callee =
+          Prog.Funcs[static_cast<size_t>(I->Index)];
+      uint32_t CtlBase = T.FP + I->CallerFrameWords;
+      uint32_t NewFP = CtlBase + CtlWords;
+      if (NewFP + Callee.FrameWords >= T.StackWords)
+        MGC_FAIL("stack overflow calling " + Callee.Name);
+      T.Stack[CtlBase] = T.AP;
+      T.Stack[CtlBase + 1] = T.FP;
+      T.Stack[CtlBase + 2] = static_cast<uint32_t>(I - Code) + 1;
+      // Prologue: save the callee-saved registers this function uses.
+      for (size_t K = 0; K != Callee.SavedRegs.size(); ++K)
+        T.Stack[NewFP + K] = T.R[Callee.SavedRegs[K]];
+      // Poison the rest of the frame: only table-described state may be
+      // touched by the collector.
+      for (uint32_t W = NewFP + Callee.SavedRegs.size();
+           W != NewFP + Callee.FrameWords; ++W)
+        T.Stack[W] = FramePoison;
+      T.AP = T.FP + I->ArgBase;
+      T.FP = NewFP;
+      I = Code + Callee.EntryIndex;
+      Bases[DBaseFP] = T.Stack.get() + T.FP;
+      Bases[DBaseAP] = T.Stack.get() + T.AP;
+      MGC_DISPATCH();
+    }
+
+    case MOp::CallRt:
+    L_CallRt:
+      switch (static_cast<ir::RtFn>(I->Index)) {
+      case ir::RtFn::PutInt:
+        Out += std::to_string(
+            static_cast<int64_t>(T.Stack[T.FP + I->ArgBase]));
+        break;
+      case ir::RtFn::PutChar:
+        Out += static_cast<char>(T.Stack[T.FP + I->ArgBase] & 0xff);
+        break;
+      case ir::RtFn::PutLn:
+        Out += '\n';
+        break;
+      case ir::RtFn::GcCollect:
+        MGC_SYNC();
+        if (__builtin_expect(Profiler != nullptr, 0))
+          Profiler->onPoint(*this, T, T.PC + 1);
+        if (!collect(T.PC + 1))
+          return false;
+        break;
+      case ir::RtFn::Halt:
+        T.Finished = true;
+        T.Live = false;
+        MGC_SYNC();
+        return true; // Thread done; not an error.
+      case ir::RtFn::ReqDone:
+        MGC_SYNC(); // Request hooks read Stats.Instrs and T.PC.
+        finishRequest();
+        break;
+      }
+      MGC_FALL();
+
+    case MOp::GcPoll:
+    L_GcPoll:
+      // A voluntary gc-point; nothing happens unless a collection is in
+      // progress, in which case the rendezvous loop stops *before*
+      // executing this instruction.
+      if (__builtin_expect(Profiler != nullptr, 0)) {
+        MGC_SYNC();
+        Profiler->onPoint(*this, T, T.PC + 1);
+      }
+      MGC_FALL();
+
+    case MOp::WriteBarrier:
+    L_WriteBarrier:
+      // Records [A + disp] in the remembered set when it is an old-space
+      // slot now holding a nursery pointer.  A no-op outside generational
+      // mode, so barrier-compiled binaries run identically under the
+      // default collector.
+      if (Opts.GenGc) {
+        ++Stats.WriteBarriersRun;
+        Word Slot = readD(I->A, Bases) + static_cast<Word>(I->AuxImm);
+        if (TheHeap.writeBarrier(Slot))
+          ++Stats.RemSetRecords;
+      }
+      MGC_FALL();
+
+    case MOp::Jump:
+    L_Jump:
+      I = Code + I->Target0;
+      MGC_DISPATCH();
+
+    case MOp::Branch:
+    L_Branch:
+      // No error check: a failing condition read stops execution only at
+      // the next fall-through instruction (see MGC_FALL).
+      I = Code + (readD(I->A, Bases) != 0 ? I->Target0 : I->Target1);
+      MGC_DISPATCH();
+
+    case MOp::Ret:
+    L_Ret: {
+      if (__builtin_expect(Profiler != nullptr, 0))
+        Profiler->onRet(T);
+      const CompiledFunction &F = Prog.Funcs[I->FuncIdx];
+      // Epilogue: restore saved registers.
+      for (size_t K = 0; K != F.SavedRegs.size(); ++K)
+        T.R[F.SavedRegs[K]] = T.Stack[T.FP + K];
+      uint32_t RetPC = static_cast<uint32_t>(T.Stack[T.FP - 1]);
+      uint32_t OldFP = static_cast<uint32_t>(T.Stack[T.FP - 2]);
+      uint32_t OldAP = static_cast<uint32_t>(T.Stack[T.FP - 3]);
+      if (RetPC == SentinelRetPC) {
+        T.Finished = true;
+        T.Live = false;
+        MGC_SYNC();
+        return true; // Thread done; not an error.
+      }
+      I = Code + RetPC;
+      T.FP = OldFP;
+      T.AP = OldAP;
+      Bases[DBaseFP] = T.Stack.get() + T.FP;
+      Bases[DBaseAP] = T.Stack.get() + T.AP;
+      MGC_DISPATCH();
+    }
+
+    case MOp::Trap:
+    L_Trap: {
+      static const char *Reasons[] = {
+          "function ended without RETURN", "array index out of bounds",
+          "NIL dereference"};
+      int R = I->Index;
+      MGC_FAIL(std::string("trap: ") +
+               (R >= 0 && R < 3 ? Reasons[R] : "unknown"));
+    }
+    }
+
+    //===--- Specialized variants (threaded tier only) --------------------===
+    // No case reaches these; installHandlers() points instructions at them.
+    // Each computes exactly what its generic body would for the operand
+    // pattern installHandlers() matched; MGC_FALL's error check is kept
+    // even where the variant itself cannot fail, because a preceding Branch
+    // may have left a pending error.
+
+  L_MovDirect:
+    Bases[I->D.Base][I->D.Index] = Bases[I->A.Base][I->A.Index];
+    MGC_FALL();
+
+  L_MovLoad:
+    Bases[I->D.Base][I->D.Index] =
+        load(Bases[I->A.Base][I->A.Index] + static_cast<Word>(I->A.Disp));
+    MGC_FALL();
+
+  L_MovStore:
+    store(Bases[I->D.Base][I->D.Index] + static_cast<Word>(I->D.Disp),
+          Bases[I->A.Base][I->A.Index]);
+    MGC_FALL();
+
+  L_AddDirect:
+    Bases[I->D.Base][I->D.Index] =
+        Bases[I->A.Base][I->A.Index] + Bases[I->B.Base][I->B.Index];
+    MGC_FALL();
+
+  L_SubDirect:
+    Bases[I->D.Base][I->D.Index] =
+        Bases[I->A.Base][I->A.Index] - Bases[I->B.Base][I->B.Index];
+    MGC_FALL();
+
+  L_CmpEqDirect:
+    Bases[I->D.Base][I->D.Index] =
+        Bases[I->A.Base][I->A.Index] == Bases[I->B.Base][I->B.Index] ? 1 : 0;
+    MGC_FALL();
+
+  L_CmpNeDirect:
+    Bases[I->D.Base][I->D.Index] =
+        Bases[I->A.Base][I->A.Index] != Bases[I->B.Base][I->B.Index] ? 1 : 0;
+    MGC_FALL();
+
+  L_CmpLtDirect:
+    Bases[I->D.Base][I->D.Index] =
+        static_cast<int64_t>(Bases[I->A.Base][I->A.Index]) <
+                static_cast<int64_t>(Bases[I->B.Base][I->B.Index])
+            ? 1
+            : 0;
+    MGC_FALL();
+
+  L_CmpLeDirect:
+    Bases[I->D.Base][I->D.Index] =
+        static_cast<int64_t>(Bases[I->A.Base][I->A.Index]) <=
+                static_cast<int64_t>(Bases[I->B.Base][I->B.Index])
+            ? 1
+            : 0;
+    MGC_FALL();
+
+  L_CmpGtDirect:
+    Bases[I->D.Base][I->D.Index] =
+        static_cast<int64_t>(Bases[I->A.Base][I->A.Index]) >
+                static_cast<int64_t>(Bases[I->B.Base][I->B.Index])
+            ? 1
+            : 0;
+    MGC_FALL();
+
+  L_CmpGeDirect:
+    Bases[I->D.Base][I->D.Index] =
+        static_cast<int64_t>(Bases[I->A.Base][I->A.Index]) >=
+                static_cast<int64_t>(Bases[I->B.Base][I->B.Index])
+            ? 1
+            : 0;
+    MGC_FALL();
+
+  L_BranchDirect:
+    I = Code +
+        (Bases[I->A.Base][I->A.Index] != 0 ? I->Target0 : I->Target1);
+    MGC_DISPATCH();
   }
-  const CompiledFunction &Callee = Prog.Funcs[static_cast<size_t>(I->Index)];
-  uint32_t CtlBase = T.FP + I->CallerFrameWords;
-  uint32_t NewFP = CtlBase + CtlWords;
-  if (NewFP + Callee.FrameWords >= T.StackWords)
-    MGC_FAIL("stack overflow calling " + Callee.Name);
-  T.Stack[CtlBase] = T.AP;
-  T.Stack[CtlBase + 1] = T.FP;
-  T.Stack[CtlBase + 2] = static_cast<uint32_t>(I - Code) + 1;
-  for (size_t K = 0; K != Callee.SavedRegs.size(); ++K)
-    T.Stack[NewFP + K] = T.R[Callee.SavedRegs[K]];
-  for (uint32_t W = NewFP + Callee.SavedRegs.size();
-       W != NewFP + Callee.FrameWords; ++W)
-    T.Stack[W] = FramePoison;
-  T.AP = T.FP + I->ArgBase;
-  T.FP = NewFP;
-  I = Code + Callee.EntryIndex;
-  Bases[DBaseFP] = T.Stack.get() + T.FP;
-  Bases[DBaseAP] = T.Stack.get() + T.AP;
-  MGC_DISPATCH();
-}
-
-L_CallRt:
-  switch (static_cast<ir::RtFn>(I->Index)) {
-  case ir::RtFn::PutInt:
-    Out += std::to_string(static_cast<int64_t>(T.Stack[T.FP + I->ArgBase]));
-    break;
-  case ir::RtFn::PutChar:
-    Out += static_cast<char>(T.Stack[T.FP + I->ArgBase] & 0xff);
-    break;
-  case ir::RtFn::PutLn:
-    Out += '\n';
-    break;
-  case ir::RtFn::GcCollect:
-    MGC_SYNC();
-    if (__builtin_expect(Profiler != nullptr, 0))
-      Profiler->onPoint(*this, T, T.PC + 1);
-    if (!collect(T.PC + 1))
-      return false;
-    break;
-  case ir::RtFn::Halt:
-    T.Finished = true;
-    T.Live = false;
-    MGC_SYNC();
-    return true; // Thread done; not an error.
-  case ir::RtFn::ReqDone:
-    // Sync first so Stats.Instrs (and T.PC, for hooks) match the switch
-    // tier bit-for-bit at the marker.
-    MGC_SYNC();
-    finishRequest();
-    break;
-  }
-  MGC_FALL();
-
-L_GcPoll:
-  // A voluntary gc-point; the rendezvous loop stops *before* executing it.
-  if (__builtin_expect(Profiler != nullptr, 0)) {
-    MGC_SYNC();
-    Profiler->onPoint(*this, T, T.PC + 1);
-  }
-  MGC_FALL();
-
-L_WriteBarrier:
-  if (Opts.GenGc) {
-    ++Stats.WriteBarriersRun;
-    Word Slot = readD(I->A, Bases) + static_cast<Word>(I->AuxImm);
-    if (TheHeap.writeBarrier(Slot))
-      ++Stats.RemSetRecords;
-  }
-  MGC_FALL();
-
-L_Jump:
-  I = Code + I->Target0;
-  MGC_DISPATCH();
-
-L_Branch:
-  // No error check here — the reference interpreter's early `return true`
-  // means a failing condition read only stops execution at the next
-  // fall-through instruction (see MGC_FALL).
-  I = Code + (readD(I->A, Bases) != 0 ? I->Target0 : I->Target1);
-  MGC_DISPATCH();
-
-L_Ret: {
-  if (__builtin_expect(Profiler != nullptr, 0))
-    Profiler->onRet(T);
-  const CompiledFunction &F = Prog.Funcs[I->FuncIdx];
-  for (size_t K = 0; K != F.SavedRegs.size(); ++K)
-    T.R[F.SavedRegs[K]] = T.Stack[T.FP + K];
-  uint32_t RetPC = static_cast<uint32_t>(T.Stack[T.FP - 1]);
-  uint32_t OldFP = static_cast<uint32_t>(T.Stack[T.FP - 2]);
-  uint32_t OldAP = static_cast<uint32_t>(T.Stack[T.FP - 3]);
-  if (RetPC == SentinelRetPC) {
-    T.Finished = true;
-    T.Live = false;
-    MGC_SYNC();
-    return true; // Thread done; not an error.
-  }
-  I = Code + RetPC;
-  T.FP = OldFP;
-  T.AP = OldAP;
-  Bases[DBaseFP] = T.Stack.get() + T.FP;
-  Bases[DBaseAP] = T.Stack.get() + T.AP;
-  MGC_DISPATCH();
-}
-
-L_Trap: {
-  static const char *Reasons[] = {
-      "function ended without RETURN", "array index out of bounds",
-      "NIL dereference"};
-  int R = I->Index;
-  MGC_FAIL(std::string("trap: ") +
-           (R >= 0 && R < 3 ? Reasons[R] : "unknown"));
-}
-
-  //===--- Specialized variants -------------------------------------------===
-  // Each computes exactly what its generic counterpart would for the
-  // operand pattern installHandlers() matched; MGC_FALL's error check is
-  // kept even where the handler itself cannot fail, because a preceding
-  // Branch may have left a pending error (the quirk above).
-
-L_MovDirect:
-  Bases[I->D.Base][I->D.Index] = Bases[I->A.Base][I->A.Index];
-  MGC_FALL();
-
-L_MovLoad: {
-  Word Addr =
-      Bases[I->A.Base][I->A.Index] + static_cast<Word>(I->A.Disp);
-  Word V;
-  if (__builtin_expect(Addr < NilGuard, 0)) {
-    fail("NIL dereference (address " + std::to_string(Addr) + ")");
-    V = 0; // A failing read yields 0; the write still happens.
-  } else {
-    V = *reinterpret_cast<Word *>(Addr);
-  }
-  Bases[I->D.Base][I->D.Index] = V;
-  MGC_FALL();
-}
-
-L_MovStore: {
-  Word V = Bases[I->A.Base][I->A.Index];
-  Word Addr =
-      Bases[I->D.Base][I->D.Index] + static_cast<Word>(I->D.Disp);
-  if (__builtin_expect(Addr < NilGuard, 0))
-    fail("NIL dereference (address " + std::to_string(Addr) + ")");
-  else
-    *reinterpret_cast<Word *>(Addr) = V;
-  MGC_FALL();
-}
-
-L_AddDirect:
-  Bases[I->D.Base][I->D.Index] =
-      Bases[I->A.Base][I->A.Index] + Bases[I->B.Base][I->B.Index];
-  MGC_FALL();
-
-L_SubDirect:
-  Bases[I->D.Base][I->D.Index] =
-      Bases[I->A.Base][I->A.Index] - Bases[I->B.Base][I->B.Index];
-  MGC_FALL();
-
-L_CmpEqDirect:
-  Bases[I->D.Base][I->D.Index] =
-      Bases[I->A.Base][I->A.Index] == Bases[I->B.Base][I->B.Index] ? 1 : 0;
-  MGC_FALL();
-
-L_CmpNeDirect:
-  Bases[I->D.Base][I->D.Index] =
-      Bases[I->A.Base][I->A.Index] != Bases[I->B.Base][I->B.Index] ? 1 : 0;
-  MGC_FALL();
-
-L_CmpLtDirect:
-  Bases[I->D.Base][I->D.Index] =
-      static_cast<int64_t>(Bases[I->A.Base][I->A.Index]) <
-              static_cast<int64_t>(Bases[I->B.Base][I->B.Index])
-          ? 1
-          : 0;
-  MGC_FALL();
-
-L_CmpLeDirect:
-  Bases[I->D.Base][I->D.Index] =
-      static_cast<int64_t>(Bases[I->A.Base][I->A.Index]) <=
-              static_cast<int64_t>(Bases[I->B.Base][I->B.Index])
-          ? 1
-          : 0;
-  MGC_FALL();
-
-L_CmpGtDirect:
-  Bases[I->D.Base][I->D.Index] =
-      static_cast<int64_t>(Bases[I->A.Base][I->A.Index]) >
-              static_cast<int64_t>(Bases[I->B.Base][I->B.Index])
-          ? 1
-          : 0;
-  MGC_FALL();
-
-L_CmpGeDirect:
-  Bases[I->D.Base][I->D.Index] =
-      static_cast<int64_t>(Bases[I->A.Base][I->A.Index]) >=
-              static_cast<int64_t>(Bases[I->B.Base][I->B.Index])
-          ? 1
-          : 0;
-  MGC_FALL();
-
-L_BranchDirect:
-  I = Code +
-      (Bases[I->A.Base][I->A.Index] != 0 ? I->Target0 : I->Target1);
-  MGC_DISPATCH();
 
 #undef MGC_FAIL
 #undef MGC_FALL
@@ -680,10 +705,6 @@ L_BranchDirect:
 #undef MGC_SYNC
 }
 
-#else // !MGC_COMPUTED_GOTO
-
-bool VM::execThreaded(ThreadContext *, uint64_t, const void *const **) {
-  return true; // Unreachable: runQuantumThreaded falls back to the switch.
-}
-
-#endif // MGC_COMPUTED_GOTO
+template bool VM::exec<false>(ThreadContext *, uint64_t,
+                              const void *const **);
+template bool VM::exec<true>(ThreadContext *, uint64_t, const void *const **);

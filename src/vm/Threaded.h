@@ -5,13 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The VM's second execution tier: at load time the `MInstr` stream is
-/// translated, one-to-one, into a pre-decoded direct-threaded form.  Each
-/// `DInstr` carries
+/// The instruction stream both dispatch tiers execute: at load time the
+/// `MInstr` stream is translated, one-to-one, into a pre-decoded
+/// direct-threaded form.  Each `DInstr` carries
 ///
-///   - a handler address (a GCC/Clang `&&label` inside the computed-goto
-///     executor; null in portable builds, which fall back to the switch
-///     loop), and
+///   - a handler address (a GNU `&&label` inside the executor, installed
+///     only when the threaded tier runs), and
 ///   - fully resolved operands: every non-memory operand reads/writes as
 ///     `Bases[O.Base][O.Index]`, where `Bases` is a 5-entry table of word
 ///     pointers (registers, FP frame, AP args, globals, and a constant
@@ -26,9 +25,11 @@
 /// and `VMStats::Instrs` are bit-identical across dispatch tiers — the
 /// threaded-index ↔ MInstr-PC mapping is the identity, which is what lets
 /// every gc-map keyed by a return PC keep working unchanged.  Both tiers
-/// share this representation: the reference switch interpreter (`VM::step`)
-/// executes the same resolved operands, so the only difference between the
-/// tiers is the dispatch mechanism itself.
+/// are instantiations of one executor (`VM::exec<Threaded>`) over this
+/// representation: each opcode's body is written once, and the tiers
+/// differ only in how they reach it — `goto *I->Handler` or a switch loop
+/// on `I->Op`.  `VM::step`, the rendezvous single-stepper, is a
+/// one-instruction quantum of the switch instantiation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,15 +41,6 @@
 
 #include <vector>
 
-/// Direct threading needs GNU computed goto (`&&label`).  Portable builds
-/// compile the same pre-decoded stream but dispatch it through the switch
-/// loop (VM::runQuantumSwitch).
-#if defined(__GNUC__) || defined(__clang__)
-#define MGC_COMPUTED_GOTO 1
-#else
-#define MGC_COMPUTED_GOTO 0
-#endif
-
 namespace mgc {
 namespace vm {
 
@@ -57,8 +49,8 @@ struct Program;
 /// Which execution engine runs the mutator.  Both produce bit-identical
 /// observable state (output, VMStats, gc-point PCs, root/derived sets).
 enum class DispatchTier : uint8_t {
-  Switch,   ///< Reference interpreter: per-instruction switch on MOp.
-  Threaded, ///< Pre-decoded stream, computed-goto handlers.
+  Switch,   ///< Switch loop on MOp (the cross-tier reference).
+  Threaded, ///< Computed-goto handlers, with specialized variants.
 };
 
 inline const char *dispatchTierName(DispatchTier T) {

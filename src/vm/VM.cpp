@@ -4,13 +4,13 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The reference (switch-dispatch) interpreter.  Since the threaded tier
-// landed, both engines execute the *pre-decoded* stream (vm/Threaded.h):
-// step() switches on MOp but accesses operands through the resolved
-// base/index form, so per-operand Kind switches are gone from the hot
-// path of this tier too, and the two tiers differ only in dispatch.
-// step() is also the single-step engine the rendezvous loop (§5.3) uses
-// to run other threads forward to their gc-points, in both tiers.
+// The VM proper: threads, the scheduler, allocation, and the §5.3
+// rendezvous that drives a collection.  Instructions execute in one
+// executor, VM::exec (vm/Threaded.cpp), instantiated for both dispatch
+// tiers: each opcode's body is written once, and the tiers differ only in
+// dispatch (computed goto or a switch loop).  step() is a one-instruction
+// quantum of the switch instantiation; the rendezvous uses it to run
+// other threads forward to their gc-points under either tier.
 //
 //===----------------------------------------------------------------------===//
 
@@ -299,225 +299,7 @@ void VM::collectNow() {
 }
 
 bool VM::step(ThreadContext &T) {
-  const DInstr &I = DProg.Code[T.PC];
-  ++Stats.Instrs;
-  Word *const Bases[DNumBases] = {T.R, T.Stack.get() + T.FP,
-                                  T.Stack.get() + T.AP, Globals.data(),
-                                  DProg.ConstPool.data()};
-  switch (I.Op) {
-  case MOp::Mov:
-    writeD(I.D, Bases, readD(I.A, Bases));
-    break;
-  case MOp::Add: {
-    Word A = readD(I.A, Bases), B = readD(I.B, Bases);
-    writeD(I.D, Bases, A + B);
-    break;
-  }
-  case MOp::Sub: {
-    Word A = readD(I.A, Bases), B = readD(I.B, Bases);
-    writeD(I.D, Bases, A - B);
-    break;
-  }
-  case MOp::Mul: {
-    Word A = readD(I.A, Bases), B = readD(I.B, Bases);
-    writeD(I.D, Bases,
-           static_cast<Word>(static_cast<int64_t>(A) *
-                             static_cast<int64_t>(B)));
-    break;
-  }
-  case MOp::Div: {
-    int64_t B = static_cast<int64_t>(readD(I.B, Bases));
-    if (B == 0)
-      return fail("integer division by zero");
-    writeD(I.D, Bases,
-           static_cast<Word>(static_cast<int64_t>(readD(I.A, Bases)) / B));
-    break;
-  }
-  case MOp::Mod: {
-    int64_t B = static_cast<int64_t>(readD(I.B, Bases));
-    if (B == 0)
-      return fail("integer modulus by zero");
-    writeD(I.D, Bases,
-           static_cast<Word>(static_cast<int64_t>(readD(I.A, Bases)) % B));
-    break;
-  }
-  case MOp::Neg:
-    writeD(I.D, Bases,
-           static_cast<Word>(-static_cast<int64_t>(readD(I.A, Bases))));
-    break;
-  case MOp::Not:
-    writeD(I.D, Bases, readD(I.A, Bases) == 0 ? 1 : 0);
-    break;
-  case MOp::CmpEq: {
-    Word A = readD(I.A, Bases), B = readD(I.B, Bases);
-    writeD(I.D, Bases, A == B ? 1 : 0);
-    break;
-  }
-  case MOp::CmpNe: {
-    Word A = readD(I.A, Bases), B = readD(I.B, Bases);
-    writeD(I.D, Bases, A != B ? 1 : 0);
-    break;
-  }
-  case MOp::CmpLt: {
-    Word A = readD(I.A, Bases), B = readD(I.B, Bases);
-    writeD(I.D, Bases,
-           static_cast<int64_t>(A) < static_cast<int64_t>(B) ? 1 : 0);
-    break;
-  }
-  case MOp::CmpLe: {
-    Word A = readD(I.A, Bases), B = readD(I.B, Bases);
-    writeD(I.D, Bases,
-           static_cast<int64_t>(A) <= static_cast<int64_t>(B) ? 1 : 0);
-    break;
-  }
-  case MOp::CmpGt: {
-    Word A = readD(I.A, Bases), B = readD(I.B, Bases);
-    writeD(I.D, Bases,
-           static_cast<int64_t>(A) > static_cast<int64_t>(B) ? 1 : 0);
-    break;
-  }
-  case MOp::CmpGe: {
-    Word A = readD(I.A, Bases), B = readD(I.B, Bases);
-    writeD(I.D, Bases,
-           static_cast<int64_t>(A) >= static_cast<int64_t>(B) ? 1 : 0);
-    break;
-  }
-  case MOp::AddrSlot:
-    writeD(I.D, Bases,
-           reinterpret_cast<Word>(&T.Stack[T.FP + I.Index]) +
-               static_cast<Word>(I.AuxImm));
-    break;
-  case MOp::AddrGlobal:
-    writeD(I.D, Bases,
-           reinterpret_cast<Word>(&Globals[static_cast<size_t>(I.Index)]) +
-               static_cast<Word>(I.AuxImm));
-    break;
-  case MOp::NewObj:
-  case MOp::NewArr: {
-    int64_t Len = I.Op == MOp::NewArr
-                      ? static_cast<int64_t>(readD(I.A, Bases))
-                      : 0;
-    if (I.Op == MOp::NewArr && Len < 0)
-      return fail("negative open array length");
-    CurAllocSite = I.Site;
-    Word Obj = allocate(static_cast<unsigned>(I.Index), Len, T.PC + 1);
-    CurAllocSite = NoAllocSite;
-    if (Obj == 0)
-      return false;
-    writeD(I.D, Bases, Obj);
-    break;
-  }
-  case MOp::Call: {
-    if (__builtin_expect(Profiler != nullptr, 0))
-      Profiler->onCall(*this, T, I.IsGcPoint, T.PC + 1);
-    const CompiledFunction &Callee =
-        Prog.Funcs[static_cast<size_t>(I.Index)];
-    uint32_t CtlBase = T.FP + I.CallerFrameWords;
-    uint32_t NewFP = CtlBase + CtlWords;
-    if (NewFP + Callee.FrameWords >= T.StackWords)
-      return fail("stack overflow calling " + Callee.Name);
-    T.Stack[CtlBase] = T.AP;
-    T.Stack[CtlBase + 1] = T.FP;
-    T.Stack[CtlBase + 2] = T.PC + 1;
-    // Prologue: save the callee-saved registers this function uses.
-    for (size_t K = 0; K != Callee.SavedRegs.size(); ++K)
-      T.Stack[NewFP + K] = T.R[Callee.SavedRegs[K]];
-    // Poison the rest of the frame: only table-described state may be
-    // touched by the collector.
-    for (uint32_t W = NewFP + Callee.SavedRegs.size();
-         W != NewFP + Callee.FrameWords; ++W)
-      T.Stack[W] = FramePoison;
-    T.AP = T.FP + I.ArgBase;
-    T.FP = NewFP;
-    T.PC = Callee.EntryIndex;
-    return true;
-  }
-  case MOp::CallRt: {
-    switch (static_cast<ir::RtFn>(I.Index)) {
-    case ir::RtFn::PutInt:
-      Out += std::to_string(
-          static_cast<int64_t>(T.Stack[T.FP + I.ArgBase]));
-      break;
-    case ir::RtFn::PutChar:
-      Out += static_cast<char>(T.Stack[T.FP + I.ArgBase] & 0xff);
-      break;
-    case ir::RtFn::PutLn:
-      Out += '\n';
-      break;
-    case ir::RtFn::GcCollect:
-      if (__builtin_expect(Profiler != nullptr, 0))
-        Profiler->onPoint(*this, T, T.PC + 1);
-      if (!collect(T.PC + 1))
-        return false;
-      break;
-    case ir::RtFn::Halt:
-      T.Finished = true;
-      T.Live = false;
-      return false;
-    case ir::RtFn::ReqDone:
-      finishRequest();
-      break;
-    }
-    break;
-  }
-  case MOp::WriteBarrier:
-    // Records [A + disp] in the remembered set when it is an old-space slot
-    // now holding a nursery pointer.  A no-op outside generational mode, so
-    // barrier-compiled binaries still run identically under the default
-    // collector.
-    if (Opts.GenGc) {
-      ++Stats.WriteBarriersRun;
-      Word Slot = readD(I.A, Bases) + static_cast<Word>(I.AuxImm);
-      if (TheHeap.writeBarrier(Slot))
-        ++Stats.RemSetRecords;
-    }
-    break;
-  case MOp::GcPoll:
-    // A voluntary gc-point; nothing happens unless a collection is in
-    // progress, in which case the rendezvous loop stops *before* executing
-    // this instruction.
-    if (__builtin_expect(Profiler != nullptr, 0))
-      Profiler->onPoint(*this, T, T.PC + 1);
-    break;
-  case MOp::Jump:
-    T.PC = I.Target0;
-    return true;
-  case MOp::Branch:
-    T.PC = readD(I.A, Bases) != 0 ? I.Target0 : I.Target1;
-    return true;
-  case MOp::Ret: {
-    if (__builtin_expect(Profiler != nullptr, 0))
-      Profiler->onRet(T);
-    const CompiledFunction &F = Prog.Funcs[I.FuncIdx];
-    // Epilogue: restore saved registers.
-    for (size_t K = 0; K != F.SavedRegs.size(); ++K)
-      T.R[F.SavedRegs[K]] = T.Stack[T.FP + K];
-    uint32_t RetPC = static_cast<uint32_t>(T.Stack[T.FP - 1]);
-    uint32_t OldFP = static_cast<uint32_t>(T.Stack[T.FP - 2]);
-    uint32_t OldAP = static_cast<uint32_t>(T.Stack[T.FP - 3]);
-    if (RetPC == SentinelRetPC) {
-      T.Finished = true;
-      T.Live = false;
-      return false;
-    }
-    T.PC = RetPC;
-    T.FP = OldFP;
-    T.AP = OldAP;
-    return true;
-  }
-  case MOp::Trap: {
-    static const char *Reasons[] = {
-        "function ended without RETURN", "array index out of bounds",
-        "NIL dereference"};
-    int R = I.Index;
-    return fail(std::string("trap: ") +
-                (R >= 0 && R < 3 ? Reasons[R] : "unknown"));
-  }
-  }
-  if (!Error.empty())
-    return false;
-  T.PC += 1;
-  return true;
+  return exec<false>(&T, 1, nullptr) && T.Live;
 }
 
 void VM::finishRequest() {
@@ -538,14 +320,7 @@ void VM::finishRequest() {
     RequestHook(*this, Smp);
 }
 
-void VM::runQuantumSwitch(ThreadContext &T, uint64_t Max) {
-  for (uint64_t Q = 0; Q != Max && T.Live; ++Q)
-    if (!step(T))
-      break;
-}
-
 bool VM::run() {
-  const bool Threaded = activeDispatch() == DispatchTier::Threaded;
   // Round-robin with instruction-level pre-emption.
   while (true) {
     bool AnyLive = false;
@@ -561,10 +336,10 @@ bool VM::run() {
       break;
 
     ThreadContext &T = *Threads[CurThread];
-    if (Threaded)
-      runQuantumThreaded(T, Opts.Quantum);
+    if (Opts.Dispatch == DispatchTier::Threaded)
+      exec<true>(&T, Opts.Quantum, nullptr);
     else
-      runQuantumSwitch(T, Opts.Quantum);
+      exec<false>(&T, Opts.Quantum, nullptr);
     if (!Error.empty())
       return false;
     // Checked per quantum, not per instruction: cheap, and still a

@@ -64,9 +64,8 @@ struct VMOptions {
   /// non-terminating reducer candidate fails identically everywhere
   /// instead of hanging the oracle.
   uint64_t InstrBudget = 0;
-  /// Execution engine (vm/Threaded.h).  Threaded is the default; builds
-  /// without computed goto silently execute Switch (activeDispatch()
-  /// reports what actually ran).  Both tiers are observably identical.
+  /// Execution engine (vm/Threaded.h).  Threaded is the default.  Both
+  /// tiers run the same executor and are observably identical.
   DispatchTier Dispatch = DispatchTier::Threaded;
   /// Heap-sizing policy (vm/Heap.h): occupancy percentage at which a full
   /// collection doubles the semispace (0 = fixed-size heap), the semispace
@@ -151,16 +150,6 @@ public:
   /// Forces a collection (testing hook; must not be called mid-run).
   void collectNow();
 
-  /// The dispatch tier that actually executes: Opts.Dispatch, demoted to
-  /// Switch when the build has no computed goto.
-  DispatchTier activeDispatch() const {
-#if MGC_COMPUTED_GOTO
-    return Opts.Dispatch;
-#else
-    return DispatchTier::Switch;
-#endif
-  }
-
   //===--- State exposed to the collector ----------------------------------===
 
   const Program &Prog;
@@ -236,28 +225,28 @@ private:
 
   /// Resolved-operand access (vm/Threaded.h): one indexed load/store off
   /// the per-thread base table, no Operand::Kind switch.  A failing
-  /// memory read yields 0 with Error set; a failing write is dropped —
-  /// exactly the reference readOperand/writeOperand semantics.
+  /// memory read yields 0 with Error set; a failing write is dropped.
   Word readD(const DOperand &O, Word *const *Bases);
   void writeD(const DOperand &O, Word *const *Bases, Word V);
+  /// The memory half of readD/writeD: one NIL-guarded word access.
+  bool nilFault(Word Addr);
+  Word load(Word Addr);
+  void store(Word Addr, Word V);
 
-  /// Executes one instruction of thread \p T.  Returns false when the
+  /// Executes one instruction of thread \p T (a one-instruction quantum;
+  /// the rendezvous single-steps through it).  Returns false when the
   /// thread finished or an error occurred.
   bool step(ThreadContext &T);
 
-  /// One scheduler quantum (at most \p Max instructions) of thread \p T
-  /// under the reference switch dispatch.
-  void runQuantumSwitch(ThreadContext &T, uint64_t Max);
-
-  /// The same quantum under computed-goto dispatch (vm/Threaded.cpp);
-  /// falls back to runQuantumSwitch in portable builds.
-  void runQuantumThreaded(ThreadContext &T, uint64_t Max);
-
-  /// The computed-goto executor.  With \p LabelsOut set it only exports
-  /// the handler-label table (indexed by MOp) and runs nothing; otherwise
-  /// it executes up to \p Max instructions of \p T.
-  bool execThreaded(ThreadContext *T, uint64_t Max,
-                    const void *const **LabelsOut);
+  /// The executor (vm/Threaded.cpp): runs up to \p Max instructions of
+  /// \p T, dispatching by computed goto (Threaded) or by a switch loop.
+  /// Each opcode's body is written once and shared by both dispatchers.
+  /// Returns false on a runtime error; a thread that finishes returns
+  /// true with Live cleared.  With \p LabelsOut set it only
+  /// exports the handler-label table (indexed by MOp, then the specialized
+  /// variants) and runs nothing.
+  template <bool Threaded>
+  bool exec(ThreadContext *T, uint64_t Max, const void *const **LabelsOut);
 
   /// Fills DProg's handler pointers for the active tier (no-op when the
   /// switch tier runs).
@@ -279,7 +268,7 @@ private:
 
   /// Retires one ReqDone() marker: accounts the request window against the
   /// current counters, records it with the tracer, and runs RequestHook.
-  /// Callers must have Stats.Instrs synced (threaded tier: MGC_SYNC).
+  /// Callers must have Stats.Instrs synced (the executor's MGC_SYNC).
   void finishRequest();
 
   bool fail(const std::string &Msg);
@@ -293,30 +282,33 @@ private:
   uint64_t ReqGcNanosAccum = 0;
 };
 
+inline bool VM::nilFault(Word Addr) {
+  if (__builtin_expect(Addr >= NilGuard, 1))
+    return false;
+  fail("NIL dereference (address " + std::to_string(Addr) + ")");
+  return true;
+}
+
+inline Word VM::load(Word Addr) {
+  return nilFault(Addr) ? 0 : *reinterpret_cast<Word *>(Addr);
+}
+
+inline void VM::store(Word Addr, Word V) {
+  if (!nilFault(Addr))
+    *reinterpret_cast<Word *>(Addr) = V;
+}
+
 inline Word VM::readD(const DOperand &O, Word *const *Bases) {
   Word V = Bases[O.Base][O.Index];
-  if (!O.Mem)
-    return V;
-  Word Addr = V + static_cast<Word>(O.Disp);
-  if (Addr < NilGuard) {
-    fail("NIL dereference (address " + std::to_string(Addr) + ")");
-    return 0;
-  }
-  return *reinterpret_cast<Word *>(Addr);
+  return O.Mem ? load(V + static_cast<Word>(O.Disp)) : V;
 }
 
 inline void VM::writeD(const DOperand &O, Word *const *Bases, Word V) {
-  Word *P = &Bases[O.Base][O.Index];
-  if (!O.Mem) {
-    *P = V;
-    return;
-  }
-  Word Addr = *P + static_cast<Word>(O.Disp);
-  if (Addr < NilGuard) {
-    fail("NIL dereference (address " + std::to_string(Addr) + ")");
-    return;
-  }
-  *reinterpret_cast<Word *>(Addr) = V;
+  Word &P = Bases[O.Base][O.Index];
+  if (O.Mem)
+    store(P + static_cast<Word>(O.Disp), V);
+  else
+    P = V;
 }
 
 } // namespace vm

@@ -33,6 +33,10 @@ struct TierOutcome {
   std::string Out;
   std::string Error;
   vm::VMStats S;
+  std::vector<uint32_t> PCs; ///< Each thread's final PC.
+  /// Main thread's final registers.  Not compared across tiers: they may
+  /// hold heap addresses, which differ between two VMs.
+  std::vector<vm::Word> R;
 };
 
 /// Runs an already-compiled program under one dispatch tier.
@@ -55,6 +59,9 @@ TierOutcome runTier(const vm::Program &Prog, vm::DispatchTier Tier,
   O.Out = M.Out;
   O.Error = M.Error;
   O.S = M.Stats;
+  for (const auto &T : M.Threads)
+    O.PCs.push_back(T->PC);
+  O.R.assign(M.Threads[0]->R, M.Threads[0]->R + vm::NumRegs);
   return O;
 }
 
@@ -65,6 +72,7 @@ void expectIdentical(const TierOutcome &Sw, const TierOutcome &Th,
   EXPECT_EQ(Sw.Ok, Th.Ok) << Ctx;
   EXPECT_EQ(Sw.Out, Th.Out) << Ctx;
   EXPECT_EQ(Sw.Error, Th.Error) << Ctx;
+  EXPECT_EQ(Sw.PCs, Th.PCs) << Ctx << " (final PCs)";
 #define CMP(F) EXPECT_EQ(Sw.S.F, Th.S.F) << Ctx << " (" #F ")"
   CMP(Instrs);
   CMP(Collections);
@@ -242,6 +250,180 @@ END M.)";
 }
 
 //===----------------------------------------------------------------------===//
+// Runtime errors: same diagnostic, same instruction, same counts
+//===----------------------------------------------------------------------===//
+
+struct ErrorCase {
+  const char *Name;
+  const char *Source;
+  const char *Error; ///< The exact diagnostic.
+  vm::MOp At;        ///< The faulting instruction, where the run stops.
+  size_t StackWords = 1u << 16;
+  size_t HeapBytes = 4u << 20;
+  bool Cisc = false;  ///< Fold memory operands into arithmetic.
+  bool Spawn = false; ///< Spawn Spin; GcStress makes main's first NEW
+                      ///< single-step it through the rendezvous.
+};
+
+const ErrorCase ErrorCases[] = {
+    {"nil", R"(
+MODULE M;
+TYPE R = REF RECORD x: INTEGER END;
+VAR r: R;
+BEGIN
+  r := NIL;
+  PutInt(r^.x);
+END M.)",
+     "NIL dereference (address 8)", vm::MOp::Mov},
+    {"div", R"(
+MODULE M;
+VAR a, b: INTEGER;
+BEGIN
+  a := 1; b := 0;
+  PutInt(a DIV b);
+END M.)",
+     "integer division by zero", vm::MOp::Div},
+    {"mod", R"(
+MODULE M;
+VAR a, b: INTEGER;
+BEGIN
+  a := 7; b := 0;
+  PutInt(a MOD b);
+END M.)",
+     "integer modulus by zero", vm::MOp::Mod},
+    {"negative-length", R"(
+MODULE M;
+TYPE V = REF ARRAY OF INTEGER;
+VAR v: V; n: INTEGER;
+BEGIN
+  n := 2 - 5;
+  v := NEW(V, n);
+  PutInt(NUMBER(v));
+END M.)",
+     "negative open array length", vm::MOp::NewArr},
+    {"missing-return", R"(
+MODULE M;
+PROCEDURE F(x: INTEGER): INTEGER;
+BEGIN
+  IF x > 0 THEN RETURN 1 END
+END F;
+BEGIN
+  PutInt(F(-1));
+END M.)",
+     "trap: function ended without RETURN", vm::MOp::Trap},
+    {.Name = "stack-overflow",
+     .Source = R"(
+MODULE M;
+PROCEDURE Loop(n: INTEGER): INTEGER;
+BEGIN
+  RETURN Loop(n + 1)
+END Loop;
+BEGIN
+  PutInt(Loop(0));
+END M.)",
+     .Error = "stack overflow calling Loop",
+     .At = vm::MOp::Call,
+     .StackWords = 4096},
+    {.Name = "heap-exhausted",
+     .Source = R"(
+MODULE M;
+TYPE R = REF RECORD v: INTEGER; next: R END;
+VAR head, n: R;
+BEGIN
+  head := NIL;
+  LOOP
+    n := NEW(R);
+    n^.next := head;
+    head := n
+  END;
+END M.)",
+     .Error = "heap exhausted: 2040 bytes live of 2048",
+     .At = vm::MOp::NewObj,
+     .HeapBytes = 2048},
+    // h * r^.v folds to `mul rD, rD, [rN+8]`: the failing read yields 0
+    // and the multiply's write still happens.
+    {.Name = "nil-cisc-operand",
+     .Source = R"(
+MODULE M;
+TYPE R = REF RECORD v: INTEGER END;
+VAR r: R; g, h: INTEGER;
+BEGIN
+  r := NIL;
+  h := 3;
+  g := h * r^.v;
+  PutInt(g);
+END M.)",
+     .Error = "NIL dereference (address 8)",
+     .At = vm::MOp::Mul,
+     .Cisc = true},
+    // Spin has no gc-point before its fault (no loop polls), so the
+    // handshake for main's first collection steps it into the division.
+    {.Name = "fault-in-handshake",
+     .Source = R"(
+MODULE M;
+TYPE N = REF RECORD v: INTEGER END;
+VAR z, i: INTEGER; p: N;
+
+PROCEDURE Spin();
+VAR k: INTEGER;
+BEGIN
+  k := 0;
+  WHILE k < 1000 DO k := k + 1 END;
+  PutInt(100 DIV z);
+END Spin;
+
+BEGIN
+  FOR i := 1 TO 10 DO p := NEW(N) END;
+  PutInt(7); PutLn();
+END M.)",
+     .Error = "integer division by zero",
+     .At = vm::MOp::Div,
+     .Spawn = true},
+};
+
+TEST(DispatchErrors, SameDiagnosticAtSameInstruction) {
+  for (const ErrorCase &E : ErrorCases) {
+    for (int Opt : {0, 2}) {
+      driver::CompilerOptions CO;
+      CO.OptLevel = Opt;
+      CO.CiscFold = E.Cisc;
+      vm::VMOptions VO;
+      VO.StackWords = E.StackWords;
+      VO.HeapBytes = E.HeapBytes;
+      VO.GcStress = E.Spawn;
+      std::string Ctx = std::string(E.Name) + " -O" + std::to_string(Opt);
+      auto C = driver::compile(E.Source, CO);
+      ASSERT_TRUE(C.Prog) << Ctx << ":\n" << C.Diags.str();
+      TierOutcome Sw = runTier(*C.Prog, vm::DispatchTier::Switch, VO, {},
+                               E.Spawn);
+      TierOutcome Th = runTier(*C.Prog, vm::DispatchTier::Threaded, VO, {},
+                               E.Spawn);
+      expectIdentical(Sw, Th, Ctx);
+      EXPECT_FALSE(Th.Ok) << Ctx;
+      EXPECT_EQ(Th.Error, E.Error) << Ctx;
+
+      // The faulting thread (the spawned one, if any) stops at the
+      // instruction that faulted; main stops at the NEW whose collection
+      // single-stepped it.
+      const vm::MInstr &Last = C.Prog->Code[Th.PCs.back()];
+      EXPECT_EQ(Last.Op, E.At) << Ctx;
+      if (E.Spawn) {
+        EXPECT_EQ(C.Prog->Code[Th.PCs[0]].Op, vm::MOp::NewObj) << Ctx;
+        EXPECT_GT(Th.S.RendezvousSteps, 1000u) << Ctx;
+        EXPECT_EQ(Th.S.Collections, 0u) << Ctx << ": rendezvous failed";
+      }
+      if (E.Cisc) {
+        ASSERT_EQ(Last.D.K, vm::MOperand::Kind::Reg) << Ctx;
+        EXPECT_EQ(Last.B.K, vm::MOperand::Kind::MemReg) << Ctx;
+        // 3 * 0, not the 3 the destination held before.
+        EXPECT_EQ(Sw.R[Last.D.Reg], 0u) << Ctx;
+        EXPECT_EQ(Th.R[Last.D.Reg], 0u) << Ctx;
+      }
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Tier selection plumbing
 //===----------------------------------------------------------------------===//
 
@@ -256,14 +438,10 @@ TEST(DispatchTier, NamesAndActiveSelection) {
   vm::VMOptions VO;
   VO.Dispatch = vm::DispatchTier::Switch;
   vm::VM M(*C.Prog, VO);
-  EXPECT_EQ(M.activeDispatch(), vm::DispatchTier::Switch);
+  EXPECT_EQ(M.Opts.Dispatch, vm::DispatchTier::Switch);
   vm::VMOptions VT; // default
   vm::VM N(*C.Prog, VT);
-#if MGC_COMPUTED_GOTO
-  EXPECT_EQ(N.activeDispatch(), vm::DispatchTier::Threaded);
-#else
-  EXPECT_EQ(N.activeDispatch(), vm::DispatchTier::Switch);
-#endif
+  EXPECT_EQ(N.Opts.Dispatch, vm::DispatchTier::Threaded);
 }
 
 } // namespace

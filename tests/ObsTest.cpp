@@ -398,8 +398,81 @@ TEST(ObsRingWrap, NoDropsWhenRingCovers) {
   ASSERT_TRUE(obs::readTrace(In, Report, Err)) << Err;
   ASSERT_TRUE(Report.HasRun);
   EXPECT_EQ(Report.Run.getInt("events_dropped_from_ring"), 0);
-  EXPECT_EQ(obs::renderReport(Report, 5).find("dropped from the ring"),
-            std::string::npos);
+  std::string Rendered = obs::renderReport(Report, 5);
+  EXPECT_EQ(Rendered.find("dropped from the ring"), std::string::npos);
+  EXPECT_EQ(Rendered.find("WARNING"), std::string::npos) << Rendered;
+}
+
+TEST(ObsBufferDrops, SurvivalAndRequestDropsSurfacedInReport) {
+  // The survival buffer and the request-sample buffer are bounded too:
+  // with tiny capacities both drop, and the run record, mgc-report's text
+  // header and its JSON must all carry the exact counts.
+  const char *Source = R"(
+MODULE M;
+TYPE N = REF RECORD v: INTEGER; next: N END;
+VAR head, p: N; i, k: INTEGER;
+BEGIN
+  FOR i := 1 TO 40 DO
+    head := NIL;
+    FOR k := 1 TO 32 DO p := NEW(N); p^.next := head; head := p END;
+    ReqDone()
+  END;
+  PutInt(1); PutLn();
+END M.)";
+  auto C = driver::compile(Source, {});
+  ASSERT_TRUE(C.Prog != nullptr) << C.Diags.str();
+  vm::VMOptions VO;
+  VO.HeapBytes = 8u << 10;
+  vm::VM M(*C.Prog, VO);
+  gc::installPreciseCollector(M, {});
+
+  obs::TracerConfig TC;
+  TC.Sites = &C.Prog->SiteTab;
+  for (const auto &F : C.Prog->Funcs)
+    TC.FuncNames.push_back(F.Name);
+  TC.ProgramName = "bufdrops";
+  TC.PendingCapacity = 4;
+  TC.RequestCapacity = 5;
+  obs::Tracer Tracer(std::move(TC));
+  std::ostringstream OS;
+  Tracer.enable(&OS);
+  M.Tracer = &Tracer;
+  ASSERT_TRUE(M.run()) << M.Error;
+  Tracer.finish(true, "");
+
+  ASSERT_GT(M.Stats.Collections, 0u);
+  uint64_t Pending = Tracer.droppedPending();
+  uint64_t Requests = Tracer.droppedRequests();
+  EXPECT_GT(Pending, 0u);
+  EXPECT_EQ(Requests, 40u - 5u);
+
+  std::istringstream In(OS.str());
+  obs::TraceReport Report;
+  std::string Err;
+  ASSERT_TRUE(obs::readTrace(In, Report, Err)) << Err;
+  ASSERT_TRUE(Report.HasRun);
+  EXPECT_EQ(static_cast<uint64_t>(Report.Run.getInt("pending_dropped")),
+            Pending);
+  EXPECT_EQ(static_cast<uint64_t>(Report.Run.getInt("requests_dropped")),
+            Requests);
+
+  std::string Rendered = obs::renderReport(Report, /*TopN=*/5);
+  EXPECT_NE(Rendered.find("WARNING: " + std::to_string(Pending) +
+                          " allocations dropped from the survival buffer"),
+            std::string::npos)
+      << Rendered;
+  EXPECT_NE(Rendered.find("WARNING: 35 request samples dropped from the "
+                          "sample buffer; the run record's req_instr "
+                          "percentiles cover only the first 5 requests"),
+            std::string::npos)
+      << Rendered;
+  std::string Json = obs::renderReportJson(Report, /*TopN=*/5);
+  EXPECT_NE(Json.find("\"pending_dropped\":" + std::to_string(Pending)),
+            std::string::npos)
+      << Json;
+  EXPECT_NE(Json.find("\"requests_dropped\":35"), std::string::npos)
+      << Json;
+
 }
 
 //===----------------------------------------------------------------------===//

@@ -7,7 +7,8 @@
 # default two-space configuration and once with MGC_TEST_GEN_GC=1, which
 # re-runs every gc-tables test through generational mode (nursery + write
 # barriers + minor collections) with the remembered-set cross-check on —
-# then the decode microbenchmarks (BENCH_decode.json), the generational
+# then the whole suite under AddressSanitizer + UBSan (build-asan), then
+# the decode microbenchmarks (BENCH_decode.json), the generational
 # pause benchmarks (BENCH_gengc.json), and the observability overhead gate
 # (BENCH_trace.json), and the heap-snapshot cost gate (BENCH_snapshot.json)
 # so successive PRs leave a perf trajectory.  The gengc binary exits
@@ -62,6 +63,18 @@ if [ "$SKIP_TESTS" -eq 0 ]; then
   # barriers + nursery + minor collections + remembered-set cross-check).
   # Outputs and assertions must not change.
   (cd build && MGC_TEST_GEN_GC=1 ctest --output-on-failure -j)
+
+  # AddressSanitizer + UndefinedBehaviorSanitizer over the whole suite, in
+  # its own build tree.  It runs straight after tier-1 so that no later
+  # gate's failure can keep it from running.  Any report fails the step
+  # (-fno-sanitize-recover).  The fuzz self-test, which runs a full reducer
+  # campaign (~9 minutes instrumented), is the one test left out.
+  cmake -B build-asan -S . \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -O1 -g"
+  cmake --build build-asan --target mgc_tests mgc_fuzz_tests -j "$(nproc)"
+  (cd build-asan && ctest --output-on-failure -j "$(nproc)" \
+     -E 'FuzzSelfTest\.InjectedDeltaBitBugCaughtAndReduced')
 fi
 
 # --- Decode perf trajectory ---------------------------------------------

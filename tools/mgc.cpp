@@ -351,7 +351,7 @@ int main(int argc, char **argv) {
       TC.FuncNames.push_back(F.Name);
     TC.ProgramName = Prog.Name;
     TC.GenGc = VO.GenGc;
-    TC.Dispatch = vm::dispatchTierName(Machine.activeDispatch());
+    TC.Dispatch = vm::dispatchTierName(Machine.Opts.Dispatch);
     TC.SiteTableBytes = Prog.Sizes.SiteTableBytes;
     Tracer = std::make_unique<obs::Tracer>(std::move(TC));
     if (TracePath) {
@@ -496,7 +496,7 @@ int main(int argc, char **argv) {
   if (Stats) {
     const vm::VMStats &S = Machine.Stats;
     std::printf("dispatch: %s\n",
-                vm::dispatchTierName(Machine.activeDispatch()));
+                vm::dispatchTierName(Machine.Opts.Dispatch));
     std::printf("run: %llu instrs, %llu collections, %llu bytes copied, "
                 "%llu frames traced, %llu derived adjusted\n",
                 static_cast<unsigned long long>(S.Instrs),
@@ -586,7 +586,7 @@ int main(int argc, char **argv) {
       obs::appendJsonString(J, Machine.Error);
     }
     J += ",\"dispatch\":";
-    obs::appendJsonString(J, vm::dispatchTierName(Machine.activeDispatch()));
+    obs::appendJsonString(J, vm::dispatchTierName(Machine.Opts.Dispatch));
     jsonField(J, "gen_gc", VO.GenGc ? 1 : 0);
     jsonField(J, "code_bytes", Prog.codeSizeBytes());
     jsonField(J, "table_bytes_delta_pp", Prog.Sizes.DeltaPP);
