@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <set>
 
 using namespace mgc;
 using namespace mgc::analysis;
@@ -49,187 +48,225 @@ std::string Derivation::str() const {
   return S;
 }
 
-std::vector<VReg> DerivState::baseVRegs() const {
-  std::set<VReg> Set;
-  if (K == Kind::Single)
-    for (const auto &[R, C] : D.Bases)
-      Set.insert(R);
-  if (K == Kind::Ambiguous)
-    for (const Derivation &Alt : Alts)
-      for (const auto &[R, C] : Alt.Bases)
-        Set.insert(R);
-  return std::vector<VReg>(Set.begin(), Set.end());
-}
-
 namespace {
-/// The derivation(s) an operand contributes: a non-derived pointer-like
-/// vreg is its own (single) base; a derived vreg contributes its current
-/// state; an immediate contributes nothing (part of E).
-DerivState operandState(const Function &F, const Operand &O,
-                        const DerivMap &State) {
-  DerivState S;
-  if (!O.isReg()) {
-    S.K = DerivState::Kind::Single; // Empty derivation: E only.
-    return S;
-  }
-  PtrKind K = F.kindOf(O.R);
-  if (K == PtrKind::Derived) {
-    auto It = State.find(O.R);
-    if (It == State.end())
-      return S; // Unknown: used before defined (dead path).
-    return It->second;
-  }
-  S.K = DerivState::Kind::Single;
-  if (K != PtrKind::NonPtr)
-    S.D.add(O.R, 1);
-  return S;
+/// The union of the base vregs of \p Alts, ascending.
+std::vector<VReg> basesOf(std::span<const Derivation> Alts) {
+  std::vector<VReg> Out;
+  for (const Derivation &Alt : Alts)
+    for (const auto &[R, C] : Alt.Bases)
+      Out.push_back(R);
+  std::sort(Out.begin(), Out.end());
+  Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
+  return Out;
 }
 
-/// Combines A + Sign*B over all alternatives.
-DerivState combine(const DerivState &A, const DerivState &B, int Sign) {
-  DerivState Out;
-  if (A.K == DerivState::Kind::Unknown || B.K == DerivState::Kind::Unknown)
-    return Out;
-  auto AltsOf = [](const DerivState &S) {
-    return S.K == DerivState::Kind::Single ? std::vector<Derivation>{S.D}
-                                           : S.Alts;
-  };
-  std::set<Derivation> Result;
-  for (const Derivation &DA : AltsOf(A))
-    for (const Derivation &DB : AltsOf(B)) {
-      Derivation D = DA;
-      D.addAll(DB, Sign);
-      Result.insert(std::move(D));
-    }
-  if (Result.size() == 1) {
-    Out.K = DerivState::Kind::Single;
-    Out.D = *Result.begin();
-  } else {
-    Out.K = DerivState::Kind::Ambiguous;
-    Out.Alts.assign(Result.begin(), Result.end());
-  }
-  return Out;
+uint64_t pairKey(StateId A, StateId B) {
+  return static_cast<uint64_t>(A) << 32 | B;
 }
 } // namespace
 
-void DerivationAnalysis::transfer(const Function &F, const Instr &I,
-                                  DerivMap &State) {
-  if (I.Dst == NoVReg || F.kindOf(I.Dst) != PtrKind::Derived)
+std::vector<VReg> DerivState::baseVRegs() const {
+  if (K == Kind::Single)
+    return basesOf({&D, 1});
+  return basesOf(Alts);
+}
+
+StateId DerivationAnalysis::intern(std::vector<Derivation> Alts) const {
+  auto [It, Inserted] = Tables.Ids.try_emplace(
+      Alts, static_cast<StateId>(Tables.States.size()));
+  if (Inserted) {
+    std::vector<VReg> Bases = basesOf(Alts);
+    Tables.States.push_back({std::move(Alts), std::move(Bases)});
+  }
+  return It->second;
+}
+
+/// The state an operand contributes: a non-derived pointer-like vreg is its
+/// own (single) base; a derived vreg contributes its current state; an
+/// immediate or a non-pointer contributes nothing (part of E).
+StateId DerivationAnalysis::operandState(const Operand &O,
+                                         const Row &S) const {
+  if (O.isReg() && DerivedIdx[O.R] >= 0)
+    return S[static_cast<size_t>(DerivedIdx[O.R])];
+  VReg R = O.isReg() && F.kindOf(O.R) != PtrKind::NonPtr ? O.R : NoVReg;
+  StateId &Leaf = Tables.Leaf[static_cast<size_t>(R + 1)];
+  if (Leaf == UnknownState) {
+    Derivation D;
+    if (R != NoVReg)
+      D.add(R, 1);
+    Leaf = intern({std::move(D)});
+  }
+  return Leaf;
+}
+
+/// The union of two states' alternatives (Unknown is the identity).
+StateId DerivationAnalysis::join(StateId A, StateId B) const {
+  if (A == B || B == UnknownState)
+    return A;
+  if (A == UnknownState)
+    return B;
+  auto [It, Inserted] =
+      Tables.JoinMemo.try_emplace(pairKey(std::min(A, B), std::max(A, B)));
+  if (Inserted) {
+    std::span<const Derivation> AltsA = alternatives(A), AltsB = alternatives(B);
+    std::vector<Derivation> Alts;
+    std::set_union(AltsA.begin(), AltsA.end(), AltsB.begin(), AltsB.end(),
+                   std::back_inserter(Alts));
+    It->second = intern(std::move(Alts));
+  }
+  return It->second;
+}
+
+/// A − B over all pairs of alternatives (DeriveDiff).
+StateId DerivationAnalysis::diff(StateId A, StateId B) const {
+  if (A == UnknownState || B == UnknownState)
+    return UnknownState;
+  auto [It, Inserted] = Tables.DiffMemo.try_emplace(pairKey(A, B));
+  if (Inserted) {
+    std::vector<Derivation> Alts;
+    for (const Derivation &DA : alternatives(A))
+      for (const Derivation &DB : alternatives(B)) {
+        Derivation D = DA;
+        D.addAll(DB, -1);
+        Alts.push_back(std::move(D));
+      }
+    std::sort(Alts.begin(), Alts.end());
+    Alts.erase(std::unique(Alts.begin(), Alts.end()), Alts.end());
+    It->second = intern(std::move(Alts));
+  }
+  return It->second;
+}
+
+void DerivationAnalysis::transfer(const Instr &I, Row &S) const {
+  if (I.Dst == NoVReg || DerivedIdx[I.Dst] < 0)
     return;
+  StateId &Dst = S[static_cast<size_t>(DerivedIdx[I.Dst])];
   switch (I.Op) {
   case Opcode::Mov:
-    State[I.Dst] = operandState(F, I.A, State);
-    return;
   case Opcode::DeriveAdd:
-  case Opcode::DeriveSub: {
+  case Opcode::DeriveSub:
     // The integer offset operand is part of E; only the base matters.
-    State[I.Dst] = operandState(F, I.A, State);
+    Dst = operandState(I.A, S);
     return;
-  }
-  case Opcode::DeriveDiff: {
-    DerivState A = operandState(F, I.A, State);
-    DerivState B = operandState(F, I.B, State);
-    State[I.Dst] = combine(A, B, /*Sign=*/-1);
+  case Opcode::DeriveDiff:
+    Dst = diff(operandState(I.A, S), operandState(I.B, S));
     return;
-  }
   default:
     assert(false && "derived vreg defined by a non-derive instruction");
     return;
   }
 }
 
-void DerivationAnalysis::join(DerivMap &Into, const DerivMap &From,
-                              bool &Changed) {
-  for (const auto &[R, S] : From) {
-    auto It = Into.find(R);
-    if (It == Into.end()) {
-      Into[R] = S;
-      Changed = true;
-      continue;
-    }
-    DerivState &T = It->second;
-    if (T == S)
-      continue;
-    if (S.K == DerivState::Kind::Unknown)
-      continue;
-    if (T.K == DerivState::Kind::Unknown) {
-      T = S;
-      Changed = true;
-      continue;
-    }
-    // Merge alternative sets.
-    std::set<Derivation> Alts;
-    auto Insert = [&](const DerivState &X) {
-      if (X.K == DerivState::Kind::Single)
-        Alts.insert(X.D);
-      else
-        Alts.insert(X.Alts.begin(), X.Alts.end());
-    };
-    Insert(T);
-    Insert(S);
-    DerivState New;
-    if (Alts.size() == 1) {
-      New.K = DerivState::Kind::Single;
-      New.D = *Alts.begin();
-    } else {
-      New.K = DerivState::Kind::Ambiguous;
-      New.Alts.assign(Alts.begin(), Alts.end());
-    }
-    if (!(New == T)) {
-      T = std::move(New);
-      Changed = true;
-    }
-  }
-}
-
 DerivationAnalysis::DerivationAnalysis(const Function &F) : F(F) {
-  In.assign(F.Blocks.size(), DerivMap());
+  DerivedIdx.assign(F.VRegs.size(), -1);
+  for (size_t R = 0; R != F.VRegs.size(); ++R)
+    if (F.VRegs[R].Kind == PtrKind::Derived) {
+      DerivedIdx[R] = static_cast<int>(Derived.size());
+      Derived.push_back(static_cast<VReg>(R));
+    }
+  Tables.States.emplace_back(); // UnknownState.
+  if (Derived.empty())
+    return; // No state to track: every row is empty.
+  Tables.Leaf.assign(F.VRegs.size() + 1, UnknownState);
+
+  size_t ND = Derived.size();
+  In.assign(F.Blocks.size() * ND, UnknownState);
+  // Only instructions defining a derived vreg change the state.
+  std::vector<std::vector<const Instr *>> Defs(F.Blocks.size());
+  for (const auto &BB : F.Blocks)
+    for (const Instr &I : BB->Instrs)
+      if (I.Dst != NoVReg && DerivedIdx[I.Dst] >= 0)
+        Defs[BB->Id].push_back(&I);
+
   std::vector<unsigned> Order = F.reversePostOrder();
+  Row State;
   bool Changed = true;
   while (Changed) {
     Changed = false;
     for (unsigned B : Order) {
-      DerivMap State = In[B];
-      for (const Instr &I : F.Blocks[B]->Instrs)
-        transfer(F, I, State);
-      for (unsigned Succ : F.Blocks[B]->successors())
-        join(In[Succ], State, Changed);
+      loadBlockIn(B, State);
+      for (const Instr *I : Defs[B])
+        transfer(*I, State);
+      F.Blocks[B]->forEachSuccessor([&](unsigned Succ) {
+        StateId *Into = &In[Succ * ND];
+        for (size_t D = 0; D != ND; ++D) {
+          StateId New = join(Into[D], State[D]);
+          if (New != Into[D]) {
+            Into[D] = New;
+            Changed = true;
+          }
+        }
+      });
     }
   }
+}
+
+DerivState DerivationAnalysis::materialize(StateId Id) const {
+  DerivState S;
+  std::span<const Derivation> Alts = alternatives(Id);
+  if (Alts.size() == 1) {
+    S.K = DerivState::Kind::Single;
+    S.D = Alts[0];
+  } else if (!Alts.empty()) {
+    S.K = DerivState::Kind::Ambiguous;
+    S.Alts.assign(Alts.begin(), Alts.end());
+  }
+  return S;
+}
+
+DerivMap DerivationAnalysis::toMap(const Row &S) const {
+  DerivMap M;
+  for (size_t D = 0; D != S.size(); ++D)
+    if (S[D] != UnknownState)
+      M[Derived[D]] = materialize(S[D]);
+  return M;
+}
+
+DerivMap DerivationAnalysis::blockIn(unsigned Block) const {
+  Row S;
+  loadBlockIn(Block, S);
+  return toMap(S);
 }
 
 DerivMap DerivationAnalysis::stateBefore(unsigned Block,
                                          unsigned Index) const {
-  DerivMap State = In[Block];
+  Row S;
+  loadBlockIn(Block, S);
   const BasicBlock &BB = *F.Blocks[Block];
   for (unsigned I = 0; I != Index; ++I)
-    transfer(F, BB.Instrs[I], State);
-  return State;
+    transfer(BB.Instrs[I], S);
+  return toMap(S);
 }
 
-std::map<std::pair<unsigned, unsigned>, std::vector<VReg>>
-DerivationAnalysis::computeExtraUses() const {
-  std::map<std::pair<unsigned, unsigned>, std::vector<VReg>> Extra;
+ExtraUses DerivationAnalysis::computeExtraUses() const {
+  ExtraUses X;
+  if (Derived.empty())
+    return X;
+  X.Ranges.resize(F.Blocks.size());
+  Row State;
+  std::vector<VReg> Bases;
   for (const auto &BB : F.Blocks) {
-    DerivMap State = In[BB->Id];
-    for (unsigned I = 0; I != BB->Instrs.size(); ++I) {
+    std::vector<ExtraUses::Range> &Ranges = X.Ranges[BB->Id];
+    Ranges.resize(BB->Instrs.size());
+    loadBlockIn(BB->Id, State);
+    for (size_t I = 0; I != BB->Instrs.size(); ++I) {
       const Instr &Ins = BB->Instrs[I];
-      std::vector<VReg> Uses;
-      Ins.collectUses(Uses);
-      std::set<VReg> Bases;
-      for (VReg R : Uses) {
-        if (F.kindOf(R) != PtrKind::Derived)
-          continue;
-        auto It = State.find(R);
-        if (It == State.end())
-          continue;
-        for (VReg B : It->second.baseVRegs())
-          Bases.insert(B);
+      Bases.clear();
+      Ins.forEachUse([&](VReg R) {
+        if (DerivedIdx[R] < 0)
+          return;
+        const std::vector<VReg> &B = baseVRegs(stateOf(State, R));
+        Bases.insert(Bases.end(), B.begin(), B.end());
+      });
+      if (!Bases.empty()) {
+        std::sort(Bases.begin(), Bases.end());
+        Bases.erase(std::unique(Bases.begin(), Bases.end()), Bases.end());
+        Ranges[I].Begin = static_cast<uint32_t>(X.Pool.size());
+        X.Pool.insert(X.Pool.end(), Bases.begin(), Bases.end());
+        Ranges[I].End = static_cast<uint32_t>(X.Pool.size());
       }
-      if (!Bases.empty())
-        Extra[{BB->Id, I}] = std::vector<VReg>(Bases.begin(), Bases.end());
-      transfer(F, Ins, State);
+      transfer(Ins, State);
     }
   }
-  return Extra;
+  return X;
 }

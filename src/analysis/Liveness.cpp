@@ -6,6 +6,8 @@
 
 #include "analysis/Liveness.h"
 
+#include <cassert>
+
 using namespace mgc;
 using namespace mgc::analysis;
 using namespace mgc::ir;
@@ -14,48 +16,36 @@ Liveness::Liveness(const Function &F, const ExtraUses *Extra)
     : F(F), Extra(Extra) {
   size_t NumBlocks = F.Blocks.size();
   size_t NumVRegs = F.VRegs.size();
-  LiveIn.assign(NumBlocks, DynBitset(NumVRegs));
   LiveOut.assign(NumBlocks, DynBitset(NumVRegs));
 
+  // Block summaries: running the block's transfer backward over the empty
+  // set yields Gen; Kill collects the definitions.  LiveIn starts at Gen.
+  LiveIn.assign(NumBlocks, DynBitset(NumVRegs));
+  std::vector<DynBitset> Kill(NumBlocks, DynBitset(NumVRegs));
+  for (size_t B = 0; B != NumBlocks; ++B) {
+    const BasicBlock &BB = *F.Blocks[B];
+    assert((!Extra || Extra->Ranges.empty() ||
+            Extra->Ranges[B].size() == BB.Instrs.size()) &&
+           "extra uses out of step with the instructions");
+    for (size_t I = BB.Instrs.size(); I-- > 0;) {
+      if (BB.Instrs[I].Dst != NoVReg)
+        Kill[B].set(static_cast<size_t>(BB.Instrs[I].Dst));
+      stepBack(static_cast<unsigned>(B), static_cast<unsigned>(I),
+               LiveIn[B]);
+    }
+  }
+
   // Iterate to a fixpoint, processing blocks in reverse order (a decent
-  // approximation of post-order for our forward-generated CFGs).
+  // approximation of post-order for our forward-generated CFGs).  Sets
+  // only grow, so Out accumulates successor In sets in place.
   bool Changed = true;
   while (Changed) {
     Changed = false;
     for (size_t B = NumBlocks; B-- > 0;) {
-      DynBitset Out(NumVRegs);
-      for (unsigned Succ : F.Blocks[B]->successors())
-        Out.unionWith(LiveIn[Succ]);
-      DynBitset In = Out;
-      const BasicBlock &BB = *F.Blocks[B];
-      for (size_t I = BB.Instrs.size(); I-- > 0;)
-        applyTransfer(static_cast<unsigned>(B), static_cast<unsigned>(I), In);
-      if (!(Out == LiveOut[B])) {
-        LiveOut[B] = std::move(Out);
-        Changed = true;
-      }
-      if (!(In == LiveIn[B])) {
-        LiveIn[B] = std::move(In);
-        Changed = true;
-      }
+      F.Blocks[B]->forEachSuccessor(
+          [&](unsigned Succ) { LiveOut[B].unionWith(LiveIn[Succ]); });
+      Changed |= LiveIn[B].unionWithDiff(LiveOut[B], Kill[B]);
     }
-  }
-}
-
-void Liveness::applyTransfer(unsigned Block, unsigned Index,
-                             DynBitset &Live) const {
-  const Instr &I = F.Blocks[Block]->Instrs[Index];
-  if (I.Dst != NoVReg)
-    Live.reset(static_cast<size_t>(I.Dst));
-  std::vector<VReg> Uses;
-  I.collectUses(Uses);
-  for (VReg R : Uses)
-    Live.set(static_cast<size_t>(R));
-  if (Extra) {
-    auto It = Extra->find({Block, Index});
-    if (It != Extra->end())
-      for (VReg R : It->second)
-        Live.set(static_cast<size_t>(R));
   }
 }
 
@@ -63,6 +53,6 @@ DynBitset Liveness::liveBefore(unsigned Block, unsigned Index) const {
   const BasicBlock &BB = *F.Blocks[Block];
   DynBitset Live = LiveOut[Block];
   for (size_t I = BB.Instrs.size(); I-- > Index;)
-    applyTransfer(Block, static_cast<unsigned>(I), Live);
+    stepBack(Block, static_cast<unsigned>(I), Live);
   return Live;
 }

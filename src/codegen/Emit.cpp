@@ -75,6 +75,7 @@ private:
   void emitInstr(const BasicBlock &BB, unsigned Index);
   void recordGcPoint(const BasicBlock &BB, unsigned Index,
                      uint32_t GcInstrLocalIdx);
+  void computeGcPointLiveness(const BasicBlock &BB);
 
   Function &F;
   const gcsafety::GcSafetyInfo &Safety;
@@ -98,13 +99,24 @@ private:
   std::map<VReg, MOperand> PendingFold;
 
   std::unique_ptr<analysis::DerivationAnalysis> DA;
+  analysis::ExtraUses Extra;
   std::unique_ptr<analysis::Liveness> LV;
+  /// While emitting a block: the derivation state before the current
+  /// instruction, and the live-before set of each of its gc-points
+  /// (indexed by instruction; empty elsewhere).
+  analysis::DerivationAnalysis::Row DerivRow;
+  std::vector<DynBitset> GcLive;
 
   EmitResult Result;
 };
 
 EmitResult Emitter::run() {
-  Assignment Asg = allocateRegisters(F);
+  // One liveness (with the dead-base extra uses) serves the register
+  // allocator and the gc-point tables.
+  DA = std::make_unique<analysis::DerivationAnalysis>(F);
+  Extra = DA->computeExtraUses();
+  LV = std::make_unique<analysis::Liveness>(F, &Extra);
+  Assignment Asg = allocateRegisters(F, *LV);
 
   // Frame layout: [save area][slots][outgoing args].
   unsigned NumSaved = static_cast<unsigned>(Asg.UsedRegs.size());
@@ -137,16 +149,8 @@ EmitResult Emitter::run() {
   // Use counts for the CISC fold.
   UseCount.assign(F.VRegs.size(), 0);
   for (const auto &BB : F.Blocks)
-    for (const Instr &I : BB->Instrs) {
-      std::vector<VReg> Uses;
-      I.collectUses(Uses);
-      for (VReg R : Uses)
-        ++UseCount[static_cast<size_t>(R)];
-    }
-
-  DA = std::make_unique<analysis::DerivationAnalysis>(F);
-  auto Extra = DA->computeExtraUses();
-  LV = std::make_unique<analysis::Liveness>(F, &Extra);
+    for (const Instr &I : BB->Instrs)
+      I.forEachUse([&](VReg R) { ++UseCount[static_cast<size_t>(R)]; });
 
   // Prologue: zero-initialize pointer words of lowering-created slots so
   // their always-live ground entries are valid from entry.
@@ -167,8 +171,15 @@ EmitResult Emitter::run() {
   for (const auto &BB : F.Blocks) {
     BlockStart[BB->Id] = static_cast<uint32_t>(Code.size());
     PendingFold.clear();
-    for (unsigned I = 0; I != BB->Instrs.size(); ++I)
+    if (Opts.GcSafe) {
+      computeGcPointLiveness(*BB);
+      DA->loadBlockIn(BB->Id, DerivRow);
+    }
+    for (unsigned I = 0; I != BB->Instrs.size(); ++I) {
       emitInstr(*BB, I);
+      if (Opts.GcSafe)
+        DA->transfer(BB->Instrs[I], DerivRow);
+    }
   }
 
   for (const Fixup &Fx : Fixups) {
@@ -188,6 +199,16 @@ EmitResult Emitter::run() {
 // GC-point table data
 //===----------------------------------------------------------------------===//
 
+void Emitter::computeGcPointLiveness(const BasicBlock &BB) {
+  GcLive.resize(BB.Instrs.size());
+  DynBitset Live = LV->liveOut(BB.Id);
+  for (size_t I = BB.Instrs.size(); I-- > 0;) {
+    LV->stepBack(BB.Id, static_cast<unsigned>(I), Live);
+    if (BB.Instrs[I].isGcPoint())
+      GcLive[I] = Live;
+  }
+}
+
 void Emitter::recordGcPoint(const BasicBlock &BB, unsigned Index,
                             uint32_t GcInstrLocalIdx) {
   if (!Opts.GcSafe)
@@ -195,7 +216,7 @@ void Emitter::recordGcPoint(const BasicBlock &BB, unsigned Index,
   gcmaps::GcPointData P;
   P.RetPC = GcInstrLocalIdx + 1;
 
-  DynBitset Live = LV->liveBefore(BB.Id, Index);
+  const DynBitset &Live = GcLive[Index];
   const Instr &GcIns = BB.Instrs[Index];
 
   uint16_t RegMask = 0;
@@ -222,8 +243,7 @@ void Emitter::recordGcPoint(const BasicBlock &BB, unsigned Index,
           Location::fpSlot(SlotWordOff[S] + static_cast<int>(Off)));
   }
 
-  // Derivations of live derived values.
-  analysis::DerivMap State = DA->stateBefore(BB.Id, Index);
+  // Derivations of live derived values, from the state before Index.
 
   auto BasesToRefs = [&](const analysis::Derivation &D) {
     std::vector<gcmaps::BaseRef> Refs;
@@ -239,24 +259,23 @@ void Emitter::recordGcPoint(const BasicBlock &BB, unsigned Index,
 
   std::vector<gcmaps::DerivationRecord> Derivs;
   auto AddDerived = [&](VReg R, Location Target) {
-    auto It = State.find(R);
-    assert(It != State.end() && "live derived value with unknown state");
-    const analysis::DerivState &S = It->second;
+    std::span<const analysis::Derivation> Alts =
+        DA->alternatives(DA->stateOf(DerivRow, R));
+    assert(!Alts.empty() && "live derived value with unknown state");
     gcmaps::DerivationRecord Rec;
     Rec.Target = Target;
-    if (S.K == analysis::DerivState::Kind::Single) {
-      Rec.Bases = BasesToRefs(S.D);
+    if (Alts.size() == 1) {
+      Rec.Bases = BasesToRefs(Alts[0]);
       if (Rec.Bases.empty())
         return; // Pure-E value: nothing to adjust.
     } else {
-      assert(S.K == analysis::DerivState::Kind::Ambiguous);
       auto PV = Safety.PathVars.find(R);
       assert(PV != Safety.PathVars.end() &&
              "ambiguous derivation without a path variable");
       Rec.Ambiguous = true;
       Rec.PathVar = Location::fpSlot(
           SlotWordOff[static_cast<size_t>(PV->second.Slot)]);
-      for (const analysis::Derivation &Alt : S.Alts) {
+      for (const analysis::Derivation &Alt : Alts) {
         gcmaps::DerivationAlt A;
         bool Found = false;
         for (const auto &[D, Value] : PV->second.Values)

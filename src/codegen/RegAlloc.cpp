@@ -6,9 +6,6 @@
 
 #include "codegen/RegAlloc.h"
 
-#include "analysis/Derivations.h"
-#include "analysis/Liveness.h"
-
 #include <algorithm>
 #include <cassert>
 
@@ -25,7 +22,8 @@ struct Interval {
 };
 } // namespace
 
-Assignment codegen::allocateRegisters(Function &F) {
+Assignment codegen::allocateRegisters(Function &F,
+                                      const analysis::Liveness &LV) {
   Assignment Out;
   Out.LocOf.assign(F.VRegs.size(), Location());
 
@@ -37,10 +35,6 @@ Assignment codegen::allocateRegisters(Function &F) {
 
   // Linear positions: blocks in id order, two positions per instruction so
   // def-after-use at the same instruction orders correctly.
-  analysis::DerivationAnalysis DA(F);
-  auto Extra = DA.computeExtraUses();
-  analysis::Liveness LV(F, &Extra);
-
   std::vector<Interval> Intervals(F.VRegs.size());
   for (size_t R = 0; R != F.VRegs.size(); ++R)
     Intervals[R].R = static_cast<VReg>(R);
@@ -70,18 +64,20 @@ Assignment codegen::allocateRegisters(Function &F) {
     });
     // Walk instructions, extending intervals at uses/defs and at every
     // point a vreg is live (loop liveness makes ranges conservative).
-    LV.visitBlock(BB->Id, [&](unsigned Index, const DynBitset &After,
-                              const DynBitset &Before) {
+    // The set live after instruction Index is also the set live before
+    // Index+1, at position P+2; before instruction 0 it is the live-in set
+    // touched above (and after the last instruction, position P+2 lies
+    // inside the live-out range).
+    LV.visitBlock(BB->Id, [&](unsigned Index, const DynBitset &After) {
       int P = Base + 2 * static_cast<int>(Index);
-      Before.forEach([&](size_t R) { Touch(static_cast<VReg>(R), P); });
-      After.forEach([&](size_t R) { Touch(static_cast<VReg>(R), P + 1); });
+      After.forEach([&](size_t R) {
+        Touch(static_cast<VReg>(R), P + 1);
+        Touch(static_cast<VReg>(R), P + 2);
+      });
       const Instr &I = BB->Instrs[Index];
       if (I.Dst != NoVReg)
         Touch(I.Dst, P + 1);
-      std::vector<VReg> Uses;
-      I.collectUses(Uses);
-      for (VReg R : Uses)
-        Touch(R, P);
+      I.forEachUse([&](VReg R) { Touch(R, P); });
     });
   }
 

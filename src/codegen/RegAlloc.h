@@ -18,6 +18,7 @@
 #ifndef MGC_CODEGEN_REGALLOC_H
 #define MGC_CODEGEN_REGALLOC_H
 
+#include "analysis/Liveness.h"
 #include "codegen/Machine.h"
 #include "ir/IR.h"
 
@@ -34,8 +35,10 @@ struct Assignment {
   std::vector<uint8_t> UsedRegs;
 };
 
-/// Allocates registers for \p F.  Appends spill slots to F.Slots.
-Assignment allocateRegisters(ir::Function &F);
+/// Allocates registers for \p F given its liveness \p LV (computed with the
+/// dead-base extra uses).  Appends spill slots to F.Slots, which leaves
+/// \p LV valid.
+Assignment allocateRegisters(ir::Function &F, const analysis::Liveness &LV);
 
 } // namespace codegen
 } // namespace mgc

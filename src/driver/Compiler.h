@@ -16,6 +16,7 @@
 #ifndef MGC_DRIVER_COMPILER_H
 #define MGC_DRIVER_COMPILER_H
 
+#include "ir/IR.h"
 #include "support/Diagnostics.h"
 #include "vm/Program.h"
 
@@ -49,9 +50,18 @@ struct CompilerOptions {
 struct CompileResult {
   std::unique_ptr<vm::Program> Prog; ///< Null on error.
   Diagnostics Diags;
-  /// IR dump after optimization (before emission), for tests and tools.
-  std::string IRDump;
+  /// The IR after optimization and gc-safety (what was emitted); null when
+  /// compilation stopped before emission.
+  std::unique_ptr<ir::IRModule> IR;
+
+  /// The textual dump of IR, rendered on demand (tests and tools).
+  std::string irDump() const;
 };
+
+/// The -O2 pipeline on one function: cleanup rounds around the
+/// derived-value factories.  compile() runs it on every function at -O2;
+/// it is public so the analyses can be tested on optimized IR.
+void optimizeFunction(ir::Function &F, const CompilerOptions &Options);
 
 /// Compiles one MG module.
 CompileResult compile(const std::string &Source,

@@ -151,32 +151,41 @@ GcSafetyInfo gcsafety::assignPathVariables(Function &F) {
   GcSafetyInfo Info;
 
   DerivationAnalysis DA(F);
-  auto Extra = DA.computeExtraUses();
-  Liveness LV(F, &Extra);
+  const std::vector<VReg> &Derived = DA.derivedVRegs();
+  if (Derived.empty())
+    return Info;
 
-  // Find derived vregs whose state is ambiguous at some gc-point where they
-  // are live.
-  std::vector<VReg> Needy;
+  // Derived vregs whose state is ambiguous at some gc-point, in program
+  // order (and ascending vreg order at one point).  Ambiguity is rare, so
+  // liveness is computed only when some candidate exists.
+  struct Candidate {
+    unsigned Block, Index;
+    VReg R;
+  };
+  std::vector<Candidate> Cands;
+  DerivationAnalysis::Row State;
   for (const auto &BB : F.Blocks) {
-    DerivMap State = DA.blockIn(BB->Id);
+    DA.loadBlockIn(BB->Id, State);
     for (unsigned I = 0; I != BB->Instrs.size(); ++I) {
       const Instr &Ins = BB->Instrs[I];
-      if (Ins.isGcPoint()) {
-        DynBitset Live = LV.liveBefore(BB->Id, I);
-        for (const auto &[R, S] : State) {
-          if (S.K != DerivState::Kind::Ambiguous)
-            continue;
-          if (!Live.test(static_cast<size_t>(R)))
-            continue;
-          if (Info.PathVars.count(R) ||
-              std::find(Needy.begin(), Needy.end(), R) != Needy.end())
-            continue;
-          Needy.push_back(R);
-        }
-      }
-      DerivationAnalysis::transfer(F, Ins, State);
+      if (Ins.isGcPoint())
+        for (size_t D = 0; D != State.size(); ++D)
+          if (DA.isAmbiguous(State[D]))
+            Cands.push_back({BB->Id, I, Derived[D]});
+      DA.transfer(Ins, State);
     }
   }
+  if (Cands.empty())
+    return Info;
+
+  // The needy ones: live at that gc-point.
+  ExtraUses Extra = DA.computeExtraUses();
+  Liveness LV(F, &Extra);
+  std::vector<VReg> Needy;
+  for (const Candidate &C : Cands)
+    if (LV.liveBefore(C.Block, C.Index).test(static_cast<size_t>(C.R)) &&
+        std::find(Needy.begin(), Needy.end(), C.R) == Needy.end())
+      Needy.push_back(C.R);
 
   if (Needy.empty())
     return Info;
@@ -191,16 +200,16 @@ GcSafetyInfo gcsafety::assignPathVariables(Function &F) {
   };
   std::map<VReg, std::vector<DefSite>> Defs;
   for (const auto &BB : F.Blocks) {
-    DerivMap State = DA.blockIn(BB->Id);
+    DA.loadBlockIn(BB->Id, State);
     for (unsigned I = 0; I != BB->Instrs.size(); ++I) {
       const Instr &Ins = BB->Instrs[I];
-      DerivationAnalysis::transfer(F, Ins, State);
-      if (Ins.Dst == NoVReg || F.kindOf(Ins.Dst) != PtrKind::Derived)
+      DA.transfer(Ins, State);
+      if (Ins.Dst == NoVReg || DA.derivedIndex(Ins.Dst) < 0)
         continue;
       DefSite D;
       D.Block = BB->Id;
       D.Index = I;
-      D.Post = State[Ins.Dst];
+      D.Post = DA.materialize(DA.stateOf(State, Ins.Dst));
       if (Ins.A.isReg())
         D.Source = Ins.A.R;
       Defs[Ins.Dst].push_back(std::move(D));

@@ -64,13 +64,7 @@ const char *ir::opcodeName(Opcode Op) {
 }
 
 void Instr::collectUses(std::vector<VReg> &Uses) const {
-  if (A.isReg())
-    Uses.push_back(A.R);
-  if (B.isReg())
-    Uses.push_back(B.R);
-  for (const Operand &O : Args)
-    if (O.isReg())
-      Uses.push_back(O.R);
+  forEachUse([&](VReg R) { Uses.push_back(R); });
 }
 
 bool Instr::replaceUses(VReg From, VReg To) {
@@ -91,8 +85,8 @@ bool Instr::replaceUses(VReg From, VReg To) {
 std::vector<std::vector<unsigned>> Function::predecessors() const {
   std::vector<std::vector<unsigned>> Preds(Blocks.size());
   for (const auto &BB : Blocks)
-    for (unsigned Succ : BB->successors())
-      Preds[Succ].push_back(BB->Id);
+    BB->forEachSuccessor(
+        [&](unsigned Succ) { Preds[Succ].push_back(BB->Id); });
   return Preds;
 }
 
@@ -105,9 +99,15 @@ std::vector<unsigned> Function::reversePostOrder() const {
   State[0] = 1;
   while (!Stack.empty()) {
     unsigned Id = Stack.back().first;
-    std::vector<unsigned> Succs = Blocks[Id]->successors();
-    if (Stack.back().second < Succs.size()) {
-      unsigned S = Succs[Stack.back().second++];
+    // The K-th successor, read off the terminator without building a list.
+    size_t K = Stack.back().second, N = 0;
+    unsigned S = 0;
+    Blocks[Id]->forEachSuccessor([&](unsigned Succ) {
+      if (N++ == K)
+        S = Succ;
+    });
+    if (K < N) {
+      ++Stack.back().second;
       // Note: emplace_back below may invalidate references into Stack, so
       // all reads of the current entry happen before it.
       if (State[S] == 0) {

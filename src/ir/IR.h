@@ -183,6 +183,16 @@ struct Instr {
 
   /// Appends every vreg this instruction reads to \p Uses.
   void collectUses(std::vector<VReg> &Uses) const;
+  /// Calls \p Visit(R) for each vreg operand, in collectUses order.
+  template <typename Fn> void forEachUse(Fn &&Visit) const {
+    if (A.isReg())
+      Visit(A.R);
+    if (B.isReg())
+      Visit(B.R);
+    for (const Operand &O : Args)
+      if (O.isReg())
+        Visit(O.R);
+  }
   /// Rewrites every use of \p From into \p To; returns true on change.
   bool replaceUses(VReg From, VReg To);
 
@@ -317,19 +327,25 @@ public:
     return Instrs.back();
   }
 
+  /// Calls \p Visit(Succ) for each successor block id in CFG order,
+  /// without materializing a list.
+  template <typename Fn> void forEachSuccessor(Fn &&Visit) const {
+    if (!hasTerminator())
+      return;
+    const Instr &T = Instrs.back();
+    if (T.Op == Opcode::Jump) {
+      Visit(T.Target0);
+    } else if (T.Op == Opcode::Branch) {
+      Visit(T.Target0);
+      if (T.Target1 != T.Target0)
+        Visit(T.Target1);
+    }
+  }
+
   /// Successor block ids in CFG order.
   std::vector<unsigned> successors() const {
     std::vector<unsigned> Out;
-    if (!hasTerminator())
-      return Out;
-    const Instr &T = Instrs.back();
-    if (T.Op == Opcode::Jump) {
-      Out.push_back(T.Target0);
-    } else if (T.Op == Opcode::Branch) {
-      Out.push_back(T.Target0);
-      if (T.Target1 != T.Target0)
-        Out.push_back(T.Target1);
-    }
+    forEachSuccessor([&](unsigned S) { Out.push_back(S); });
     return Out;
   }
 };

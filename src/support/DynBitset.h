@@ -59,6 +59,19 @@ public:
     return Changed;
   }
 
+  /// this |= (A & ~Minus), word by word (the backward-liveness step
+  /// In |= Out - Kill); returns true if this set changed.
+  bool unionWithDiff(const DynBitset &A, const DynBitset &Minus) {
+    assert(NumBits == A.NumBits && NumBits == Minus.NumBits);
+    uint64_t Grew = 0;
+    for (size_t I = 0; I != Words.size(); ++I) {
+      uint64_t Add = A.Words[I] & ~Minus.Words[I] & ~Words[I];
+      Words[I] |= Add;
+      Grew |= Add;
+    }
+    return Grew != 0;
+  }
+
   bool operator==(const DynBitset &O) const {
     return NumBits == O.NumBits && Words == O.Words;
   }

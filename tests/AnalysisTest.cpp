@@ -4,16 +4,23 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "Corpus.h"
+#include "Programs.h"
 #include "analysis/Derivations.h"
 #include "analysis/Liveness.h"
 #include "analysis/Loops.h"
+#include "driver/Compiler.h"
 #include "frontend/Lower.h"
+#include "fuzz/Generator.h"
+#include "opt/Passes.h"
 #include "frontend/Parser.h"
 #include "frontend/Sema.h"
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
 
 #include <gtest/gtest.h>
+
+#include <set>
 
 using namespace mgc;
 using namespace mgc::ir;
@@ -205,6 +212,172 @@ TEST(Derivations, JoinOfDifferentDerivationsIsAmbiguous) {
   EXPECT_EQ(S[T].Alts.size(), 2u);
   std::vector<VReg> Bases = S[T].baseVRegs();
   EXPECT_EQ(Bases, (std::vector<VReg>{0, 1}));
+}
+
+//===----------------------------------------------------------------------===//
+// Liveness against a per-instruction reference
+//===----------------------------------------------------------------------===//
+
+/// Reference liveness: one set per program point, iterated to a fixpoint
+/// instruction by instruction (no block summaries, no bitsets).  P[B][I]
+/// is the set live before instruction I of block B; P[B][N] is the set
+/// live after the block's last instruction.
+std::vector<std::vector<std::set<VReg>>>
+referenceLiveness(const Function &F, const ExtraUses *Extra) {
+  std::vector<std::vector<std::set<VReg>>> P(F.Blocks.size());
+  for (const auto &BB : F.Blocks)
+    P[BB->Id].resize(BB->Instrs.size() + 1);
+  bool Changed = true;
+  while (Changed) {
+    Changed = false;
+    for (const auto &BB : F.Blocks) {
+      std::vector<std::set<VReg>> &Pts = P[BB->Id];
+      std::set<VReg> Out;
+      for (unsigned S : BB->successors())
+        Out.insert(P[S][0].begin(), P[S][0].end());
+      Changed |= Out != Pts.back();
+      Pts.back() = std::move(Out);
+      for (size_t I = BB->Instrs.size(); I-- > 0;) {
+        const Instr &Ins = BB->Instrs[I];
+        std::set<VReg> L = Pts[I + 1];
+        if (Ins.Dst != NoVReg)
+          L.erase(Ins.Dst);
+        std::vector<VReg> Uses;
+        Ins.collectUses(Uses);
+        L.insert(Uses.begin(), Uses.end());
+        if (Extra)
+          for (VReg R : Extra->at(BB->Id, static_cast<unsigned>(I)))
+            L.insert(R);
+        Changed |= L != Pts[I];
+        Pts[I] = std::move(L);
+      }
+    }
+  }
+  return P;
+}
+
+std::set<VReg> toSet(const DynBitset &B) {
+  std::set<VReg> S;
+  B.forEach([&](size_t R) { S.insert(static_cast<VReg>(R)); });
+  return S;
+}
+
+/// Compares Liveness with the reference on every block boundary and
+/// before every instruction; returns a description of the first mismatch.
+std::string compareWithReference(const Function &F, const ExtraUses *Extra) {
+  Liveness LV(F, Extra);
+  auto Ref = referenceLiveness(F, Extra);
+  for (const auto &BB : F.Blocks) {
+    unsigned B = BB->Id;
+    std::string Where = F.Name + " block " + std::to_string(B);
+    if (toSet(LV.liveIn(B)) != Ref[B][0])
+      return Where + ": liveIn";
+    if (toSet(LV.liveOut(B)) != Ref[B].back())
+      return Where + ": liveOut";
+    for (unsigned I = 0; I != BB->Instrs.size(); ++I)
+      if (toSet(LV.liveBefore(B, I)) != Ref[B][I])
+        return Where + ": liveBefore " + std::to_string(I);
+  }
+  return "";
+}
+
+/// The §6 programs, the corpus and 40 seeded fuzz programs.
+std::vector<std::pair<std::string, std::string>> oracleSources() {
+  std::vector<std::pair<std::string, std::string>> Sources;
+  for (const programs::NamedProgram &P : programs::All)
+    Sources.emplace_back(P.Name, P.Source);
+  for (const test::CorpusProgram &P : test::corpus())
+    Sources.emplace_back(P.Name, P.Source);
+  for (uint64_t Seed = 1; Seed <= 40; ++Seed)
+    Sources.emplace_back("fuzz seed " + std::to_string(Seed),
+                         fuzz::generateProgram(Seed).render());
+  return Sources;
+}
+
+TEST(LivenessOracle, AgreesWithPerInstructionReference) {
+  unsigned Functions = 0, WithExtra = 0;
+  for (const auto &[Name, Source] : oracleSources()) {
+    auto M = lower(Source);
+    ASSERT_TRUE(M != nullptr) << Name;
+    for (int Optimized = 0; Optimized != 2; ++Optimized) {
+      for (auto &F : M->Functions) {
+        if (Optimized)
+          driver::optimizeFunction(*F, driver::CompilerOptions());
+        ExtraUses Extra = DerivationAnalysis(*F).computeExtraUses();
+        WithExtra += !Extra.empty();
+        ++Functions;
+        const ExtraUses *Variants[] = {nullptr, &Extra};
+        for (const ExtraUses *X : Variants) {
+          std::string Mismatch = compareWithReference(*F, X);
+          ASSERT_EQ(Mismatch, "")
+              << Name << (Optimized ? " (optimized)" : " (lowered)")
+              << (X ? " with" : " without") << " extra uses\n"
+              << toString(*F);
+        }
+      }
+    }
+  }
+  // The sweep must actually exercise the dead-base extra uses.
+  EXPECT_GT(WithExtra, Functions / 10);
+}
+
+/// The argument that lets DCE compute derivations once per call
+/// (DESIGN.md §17): after removing dead pure instructions, with the
+/// extra-use entries erased in lockstep, the extra uses equal those of a
+/// fresh derivation analysis.
+TEST(LivenessOracle, DeadRemovalKeepsExtraUses) {
+  unsigned Removed = 0, RemovedDerived = 0;
+  for (const auto &[Name, Source] : oracleSources()) {
+    auto M = lower(Source);
+    ASSERT_TRUE(M != nullptr) << Name;
+    for (auto &F : M->Functions) {
+      // The derived-value factories, copy propagation and CSE leave dead
+      // copies, derived ones included.
+      opt::rewriteVirtualOrigins(*F);
+      opt::hoistLoopInvariants(*F);
+      opt::mergeDiamondTails(*F);
+      opt::hoistInvariantDiamonds(*F);
+      opt::reduceStrength(*F);
+      opt::propagateCopiesLocal(*F);
+      opt::cseLocal(*F);
+      ExtraUses Extra = DerivationAnalysis(*F).computeExtraUses();
+      for (bool Again = true; Again;) {
+        Again = false;
+        Liveness LV(*F, &Extra);
+        for (auto &BB : F->Blocks) {
+          std::vector<char> Dead(BB->Instrs.size(), 0);
+          LV.visitBlock(BB->Id, [&](unsigned I, const DynBitset &After) {
+            const Instr &Ins = BB->Instrs[I];
+            Dead[I] = Ins.Dst != NoVReg && Ins.isPure() &&
+                      !After.test(static_cast<size_t>(Ins.Dst));
+          });
+          Extra.eraseMarked(BB->Id, Dead);
+          for (size_t I = Dead.size(); I-- > 0;)
+            if (Dead[I]) {
+              RemovedDerived +=
+                  F->kindOf(BB->Instrs[I].Dst) == PtrKind::Derived;
+              BB->Instrs.erase(BB->Instrs.begin() + static_cast<long>(I));
+              Again = true;
+              ++Removed;
+            }
+        }
+        ExtraUses Fresh = DerivationAnalysis(*F).computeExtraUses();
+        for (const auto &BB : F->Blocks)
+          for (unsigned I = 0; I != BB->Instrs.size(); ++I) {
+            std::span<const VReg> Kept = Extra.at(BB->Id, I),
+                                  Want = Fresh.at(BB->Id, I);
+            ASSERT_TRUE(std::equal(Kept.begin(), Kept.end(), Want.begin(),
+                                   Want.end()))
+                << Name << " " << F->Name << " block " << BB->Id
+                << " instr " << I << "\n"
+                << toString(*F);
+          }
+      }
+    }
+  }
+  // 786 and 105 when written.
+  EXPECT_GT(Removed, 300u);
+  EXPECT_GT(RemovedDerived, 50u);
 }
 
 //===----------------------------------------------------------------------===//

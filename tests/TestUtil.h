@@ -53,7 +53,7 @@ inline RunResult compileAndRun(const std::string &Source,
   R.PathVars = C.Prog->PathVars;
   R.PathAssigns = C.Prog->PathAssigns;
   R.CodeBytes = C.Prog->codeSizeBytes();
-  R.IRDump = C.IRDump;
+  R.IRDump = C.irDump();
   vm::VM M(*C.Prog, VO);
   gc::installPreciseCollector(M, GCO);
   R.Ok = M.run();

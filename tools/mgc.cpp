@@ -298,7 +298,7 @@ int main(int argc, char **argv) {
   vm::Program &Prog = *Compiled.Prog;
 
   if (DumpIR) {
-    std::fputs(Compiled.IRDump.c_str(), stdout);
+    std::fputs(Compiled.irDump().c_str(), stdout);
     return 0;
   }
   if (DumpAsm) {
