@@ -44,12 +44,6 @@ public:
   /// True with probability Percent/100.
   bool pct(unsigned Percent) { return next() % 100 < Percent; }
 
-  /// Uniformly chosen element of \p V (must be non-empty).
-  template <typename T> const T &pick(const std::vector<T> &V) {
-    assert(!V.empty());
-    return V[next() % V.size()];
-  }
-
 private:
   uint64_t State;
 };

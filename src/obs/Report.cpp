@@ -738,24 +738,40 @@ std::string obs::renderLeaks(const TraceReport &R, size_t TopN) {
 // JSON rendering
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-void jesc(std::string &Out, const std::string &S) {
+void obs::appendJsonString(std::string &Out, const std::string &S) {
   Out += '"';
   for (char C : S) {
-    if (C == '"' || C == '\\') {
-      Out += '\\';
-      Out += C;
-    } else if (static_cast<unsigned char>(C) < 0x20) {
-      char Buf[8];
-      std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-      Out += Buf;
-    } else {
-      Out += C;
+    switch (C) {
+    case '"':
+      Out += "\\\"";
+      break;
+    case '\\':
+      Out += "\\\\";
+      break;
+    case '\n':
+      Out += "\\n";
+      break;
+    case '\t':
+      Out += "\\t";
+      break;
+    case '\r':
+      Out += "\\r";
+      break;
+    default:
+      if (static_cast<unsigned char>(C) < 0x20) {
+        static const char Hex[] = "0123456789abcdef";
+        Out += "\\u00";
+        Out += Hex[(C >> 4) & 0xf];
+        Out += Hex[C & 0xf];
+      } else {
+        Out += C;
+      }
     }
   }
   Out += '"';
 }
+
+namespace {
 
 void jkey(std::string &Out, const char *Key, bool &First) {
   if (!First)
@@ -779,7 +795,7 @@ void ji(std::string &Out, const char *Key, int64_t V, bool &First) {
 void js(std::string &Out, const char *Key, const std::string &V,
         bool &First) {
   jkey(Out, Key, First);
-  jesc(Out, V);
+  appendJsonString(Out, V);
 }
 
 void jpcts(std::string &Out, const char *Key, const Pcts &P, uint64_t Total,

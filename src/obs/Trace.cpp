@@ -16,39 +16,6 @@
 using namespace mgc;
 using namespace mgc::obs;
 
-void obs::appendJsonString(std::string &Out, const std::string &S) {
-  Out += '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        static const char Hex[] = "0123456789abcdef";
-        Out += "\\u00";
-        Out += Hex[(C >> 4) & 0xf];
-        Out += Hex[C & 0xf];
-      } else {
-        Out += C;
-      }
-    }
-  }
-  Out += '"';
-}
-
 namespace {
 
 void field(std::string &Out, const char *Key, uint64_t V, bool First = false) {

@@ -439,7 +439,9 @@ private:
   uint64_t LeakScans = 0;            ///< sampleCollection calls (any kind).
 };
 
-/// Appends one JSON string literal (quoted, escaped) to \p Out.
+/// Appends one JSON string literal (quoted, escaped) to \p Out.  The one
+/// escaper of the tracer and mgc-report --json; defined in Report.cpp, so
+/// the report tools link without the VM.
 void appendJsonString(std::string &Out, const std::string &S);
 
 } // namespace obs

@@ -82,9 +82,7 @@ Heap::Heap(size_t SemispaceBytes, const std::vector<ir::TypeDesc> &Descs,
   }
 }
 
-size_t Heap::allocationBytes(unsigned DescIdx, int64_t Length) const {
-  assert(DescIdx < Descs.size());
-  const ir::TypeDesc &D = Descs[DescIdx];
+size_t Heap::allocationBytes(const ir::TypeDesc &D, int64_t Length) {
   size_t Words = 1 + D.SizeWords;
   if (D.IsOpenArray) {
     if (Length < 0)
@@ -114,50 +112,6 @@ const ir::TypeDesc &Heap::descOf(Word Obj) const {
   size_t Idx = headerDesc(H);
   assert(Idx < Descs.size() && "corrupt object header");
   return Descs[Idx];
-}
-
-Word Heap::bumpAllocate(Word &Bump, Word Limit, unsigned DescIdx,
-                        int64_t Length, uint32_t Site) {
-  const ir::TypeDesc &D = Descs[DescIdx];
-  size_t Bytes = allocationBytes(DescIdx, Length);
-  // Overflowed or oversized requests fail like an exhausted space; the VM
-  // reports them deterministically before ever retrying.  (Bump can sit
-  // past Limit after a full collection that overran the old-space reserve,
-  // so the comparison must not rely on Limit - Bump.)
-  if (Bytes == BadAlloc || Bump > Limit || Bytes > Limit - Bump)
-    return 0;
-  Word Obj = Bump;
-  Bump += Bytes;
-  std::memset(reinterpret_cast<void *>(Obj), 0, Bytes);
-  setHeader(Obj, makeHeader(DescIdx, 0, Site));
-  if (D.IsOpenArray)
-    reinterpret_cast<Word *>(Obj)[1] = static_cast<Word>(Length);
-  BytesAllocated += Bytes;
-  ++ObjectsAllocated;
-  return Obj;
-}
-
-Word Heap::allocate(unsigned DescIdx, int64_t Length, uint32_t Site) {
-  assert(DescIdx < Descs.size());
-  if (Gen) {
-    // Invariant: old-used + nursery-used never exceeds a semispace, so a
-    // full collection's to-space copy always fits.  The nursery limit
-    // shrinks when old space has overrun its reserve.
-    size_t Used = usedBytes();
-    size_t Budget = Used < SpaceBytes ? SpaceBytes - Used : 0;
-    Word Limit = NurAlloc + Budget;
-    if (Limit > NurFromBase + NurFromHalfBytes)
-      Limit = NurFromBase + NurFromHalfBytes;
-    return bumpAllocate(NurAlloc, Limit, DescIdx, Length, Site);
-  }
-  return bumpAllocate(AllocPtr, FromBase + SpaceBytes + FromWaste, DescIdx,
-                      Length, Site);
-}
-
-Word Heap::allocateOld(unsigned DescIdx, int64_t Length, uint32_t Site) {
-  assert(Gen && "allocateOld is a generational-mode path");
-  assert(DescIdx < Descs.size());
-  return bumpAllocate(AllocPtr, OldLimit, DescIdx, Length, Site);
 }
 
 Word Heap::forward(Word Obj) {

@@ -54,7 +54,9 @@
 
 #include "ir/IR.h"
 
+#include <cassert>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <unordered_set>
@@ -149,10 +151,14 @@ public:
   bool generational() const { return Gen; }
   const HeapPolicy &policy() const { return Policy; }
 
-  /// Exact bytes an allocation of descriptor \p DescIdx (\p Length
-  /// elements for open arrays) needs, header included, or BadAlloc when
-  /// the computation overflows size_t.
-  size_t allocationBytes(unsigned DescIdx, int64_t Length) const;
+  /// Exact bytes an allocation of descriptor \p D (\p Length elements for
+  /// open arrays) needs, header included, or BadAlloc when the computation
+  /// overflows size_t or an open-array length is negative.  Static so the
+  /// load-time translator can size fixed-shape NEWs once per instruction.
+  static size_t allocationBytes(const ir::TypeDesc &D, int64_t Length);
+  size_t allocationBytes(unsigned DescIdx, int64_t Length) const {
+    return allocationBytes(Descs[DescIdx], Length);
+  }
 
   /// Largest single object this heap can ever hold; requests above it can
   /// never succeed, no matter how much is collected *or how much the heap
@@ -180,17 +186,36 @@ public:
   }
 
   /// Bump-allocates an object of descriptor \p DescIdx (\p Length elements
-  /// for open arrays).  Returns 0 when the allocation space (nursery in
-  /// generational mode, from-space otherwise) is exhausted or the size
-  /// computation overflows — the caller must collect and retry.  Payload
-  /// words are zeroed (all-NIL).  \p Site is stamped into the header (the
-  /// snapshot/profiling attribution; NoSiteHdr = unattributed).
-  Word allocate(unsigned DescIdx, int64_t Length, uint32_t Site = NoSiteHdr);
+  /// for open arrays), \p Bytes long (allocationBytes).  Returns 0 when the
+  /// allocation space (nursery in generational mode, from-space otherwise)
+  /// is exhausted or \p Bytes is BadAlloc — the caller must collect and
+  /// retry.  Payload words are zeroed (all-NIL).  \p Site is stamped into
+  /// the header (the snapshot/profiling attribution; NoSiteHdr =
+  /// unattributed).  Inline: it is the VM's allocation fast path.
+  Word allocate(unsigned DescIdx, int64_t Length, size_t Bytes,
+                uint32_t Site) {
+    if (Gen) {
+      // Invariant: old-used + nursery-used never exceeds a semispace, so a
+      // full collection's to-space copy always fits.  The nursery limit
+      // shrinks when old space has overrun its reserve.
+      size_t Used = usedBytes();
+      size_t Budget = Used < SpaceBytes ? SpaceBytes - Used : 0;
+      Word Limit = NurAlloc + Budget;
+      if (Limit > NurFromBase + NurFromHalfBytes)
+        Limit = NurFromBase + NurFromHalfBytes;
+      return bumpAllocate(NurAlloc, Limit, DescIdx, Length, Bytes, Site);
+    }
+    return bumpAllocate(AllocPtr, FromBase + SpaceBytes + FromWaste, DescIdx,
+                        Length, Bytes, Site);
+  }
 
   /// Generational mode: allocates directly in old space (objects too large
   /// for the nursery).  Returns 0 when old space is exhausted.
-  Word allocateOld(unsigned DescIdx, int64_t Length,
-                   uint32_t Site = NoSiteHdr);
+  Word allocateOld(unsigned DescIdx, int64_t Length, size_t Bytes,
+                   uint32_t Site) {
+    assert(Gen && "allocateOld is a generational-mode path");
+    return bumpAllocate(AllocPtr, OldLimit, DescIdx, Length, Bytes, Site);
+  }
 
   /// Total words of an object, header included.
   size_t objectWords(Word Obj) const;
@@ -240,7 +265,6 @@ public:
   }
   size_t capacityBytes() const { return SpaceBytes; }
   size_t nurseryCapacityBytes() const { return NurFromHalfBytes; }
-  size_t nurseryUsedBytes() const { return Gen ? NurAlloc - NurFromBase : 0; }
   size_t oldUsedBytes() const { return AllocPtr - FromBase - FromWaste; }
 
   /// Semispace buffer sizes: the nominal capacity plus the copy slack
@@ -412,8 +436,28 @@ public:
   uint64_t ObjectsAllocated = 0;
 
 private:
+  /// The one bump routine behind allocate/allocateOld.
   Word bumpAllocate(Word &Bump, Word Limit, unsigned DescIdx, int64_t Length,
-                    uint32_t Site);
+                    size_t Bytes, uint32_t Site) {
+    assert(DescIdx < Descs.size());
+    // Overflowed or oversized requests fail like an exhausted space; the VM
+    // reports them deterministically before ever retrying.  (Bump can sit
+    // past Limit after a full collection that overran the old-space
+    // reserve, so the comparison must not rely on Limit - Bump.)
+    if (Bytes == BadAlloc || Bump > Limit || Bytes > Limit - Bump)
+      return 0;
+    Word Obj = Bump;
+    Bump += Bytes;
+    std::memset(reinterpret_cast<void *>(Obj), 0, Bytes);
+    *reinterpret_cast<Word *>(Obj) = makeHeader(DescIdx, 0, Site);
+    // A zero length is already in place; fixed-shape NEWs pass 0 and skip
+    // the descriptor load.
+    if (Length != 0 && Descs[DescIdx].IsOpenArray)
+      reinterpret_cast<Word *>(Obj)[1] = static_cast<Word>(Length);
+    BytesAllocated += Bytes;
+    ++ObjectsAllocated;
+    return Obj;
+  }
   /// Copies \p Obj (header \p H, \p Bytes long) to \p New and leaves the
   /// forwarding pointer behind.
   Word evacuate(Word Obj, Word H, Word New, size_t Bytes);

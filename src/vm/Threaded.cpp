@@ -29,19 +29,22 @@
 //     For the threaded tier only, installHandlers() selects *specialized*
 //     variants per instruction where the operand pattern allows it
 //     (all-direct moves/compares/arithmetic, one-sided memory moves,
-//     direct branch conditions), eliminating the per-operand memory-form
-//     tests from the hottest paths.  A variant computes exactly what the
-//     generic body would, including the shared quirks (a failing memory
-//     read yields 0 and execution continues to the instruction's remaining
-//     effects; a Branch error is acted on one instruction late), so the
-//     two tiers stay bit-identical on every observable, not just on the
-//     happy path.
+//     direct branch conditions, a jump onto a loop poll), eliminating the
+//     per-operand memory-form tests from the hottest paths, and *fused
+//     pairs*: a variant whose continuation is a direct goto to the handler
+//     of the instruction after it instead of an indirect dispatch.  A
+//     variant computes exactly what the generic body would, including the
+//     shared quirks (a failing memory read yields 0 and execution
+//     continues to the instruction's remaining effects; a Branch error is
+//     acted on one instruction late), so the two tiers stay bit-identical
+//     on every observable, not just on the happy path.
 //
 //===----------------------------------------------------------------------===//
 
 #include "vm/VM.h"
 
 #include "obs/Profile.h"
+#include "obs/Trace.h"
 
 #include <cassert>
 #include <unordered_map>
@@ -146,6 +149,12 @@ DecodedProgram vm::decodeProgram(const Program &P) {
     case MOp::WriteBarrier:
       T.AuxImm = I.B.Imm;
       break;
+    case MOp::NewObj:
+      // Fixed shape: the byte count is a load-time constant.
+      assert(static_cast<size_t>(I.Index) < P.TypeDescs.size());
+      T.AuxImm = static_cast<int64_t>(
+          Heap::allocationBytes(P.TypeDescs[static_cast<size_t>(I.Index)], 0));
+      break;
     default:
       break;
     }
@@ -160,25 +169,98 @@ DecodedProgram vm::decodeProgram(const Program &P) {
 
 namespace {
 
-/// Indices of the specialized handler variants that follow the generic
-/// (MOp-ordered) entries in the executor's label table.  A specialized
-/// handler computes exactly what its generic body would, minus the
-/// operand-form tests the translation already answered.
-enum SpecializedHandler : size_t {
-  SMovDirect = static_cast<size_t>(MOp::Trap) + 1, ///< Mov, no mem operand.
-  SMovLoad,  ///< Mov, memory source, direct destination.
-  SMovStore, ///< Mov, direct source, memory destination.
-  SAddDirect,
-  SSubDirect,
-  SCmpEqDirect,
-  SCmpNeDirect,
-  SCmpLtDirect,
-  SCmpLeDirect,
-  SCmpGtDirect,
-  SCmpGeDirect,
-  SBranchDirect, ///< Branch with a direct condition operand.
-  SNumHandlers
+/// Fused pairs (threaded tier): (X, Y) is X's specialized body followed by
+/// a direct goto to handler Y, installed on an instruction whose successor
+/// runs handler Y.  The goto replaces exactly the indirect dispatch X would
+/// have made, after the same error and budget checks (MGC_FALL_TO), so a
+/// quantum can still end between the two and the successor keeps its own
+/// handler for every other way in.  Only bodies that cannot collect or
+/// call out head a pair.  Y may itself be a fused handler; rows are tried
+/// in order, so such a chain is listed before the pair it extends.
+#define MGC_FUSED_PAIRS(P)                                                    \
+  P(MovDirect, BranchDirect)                                                  \
+  P(MovDirect, MovDirect)                                                     \
+  P(MovDirect, JumpPoll)                                                      \
+  P(AddDirect, MovDirect_JumpPoll)                                            \
+  P(AddDirect, MovDirect)                                                     \
+  P(CmpEqDirect, BranchDirect)                                                \
+  P(CmpLeDirect, BranchDirect)                                                \
+  P(CmpGtDirect, BranchDirect)
+
+/// Indices into the executor's label table: the generic (MOp-ordered)
+/// entries, then the specialized variants, then the fused pairs.  A
+/// specialized handler computes exactly what its generic body would, minus
+/// the operand-form tests the translation already answered.
+enum Handler : size_t {
+  HGcPoll = static_cast<size_t>(MOp::GcPoll),
+  HJump = static_cast<size_t>(MOp::Jump),
+  HMovDirect = static_cast<size_t>(MOp::Trap) + 1, ///< Mov, no mem operand.
+  HMovLoad,  ///< Mov, memory source, direct destination.
+  HMovStore, ///< Mov, direct source, memory destination.
+  HAddDirect,
+  HCmpEqDirect,
+  HCmpLeDirect,
+  HCmpGtDirect,
+  HBranchDirect, ///< Branch with a direct condition operand.
+  HJumpPoll,     ///< Jump whose target is a GcPoll.
+#define MGC_PAIR_ENUM(X, Y) H##X##_##Y,
+  MGC_FUSED_PAIRS(MGC_PAIR_ENUM)
+#undef MGC_PAIR_ENUM
+  HNumHandlers
 };
+
+struct FusedPair {
+  size_t First, Next, Fused;
+  const char *Name;
+};
+constexpr FusedPair FusedPairs[] = {
+#define MGC_PAIR_ROW(X, Y) {H##X, H##Y, H##X##_##Y, #X "+" #Y},
+    MGC_FUSED_PAIRS(MGC_PAIR_ROW)
+#undef MGC_PAIR_ROW
+};
+
+/// The unfused handler for \p I: its specialized variant, if its operand
+/// pattern has one, else its generic body.
+size_t plainHandler(const DInstr &I, const std::vector<DInstr> &Code) {
+  bool Direct3 = !I.D.Mem && !I.A.Mem && !I.B.Mem;
+  switch (I.Op) {
+  case MOp::Mov:
+    if (!I.D.Mem && !I.A.Mem)
+      return HMovDirect;
+    if (!I.D.Mem)
+      return HMovLoad;
+    if (!I.A.Mem)
+      return HMovStore;
+    break;
+  case MOp::Add:
+    if (Direct3)
+      return HAddDirect;
+    break;
+  case MOp::CmpEq:
+    if (Direct3)
+      return HCmpEqDirect;
+    break;
+  case MOp::CmpLe:
+    if (Direct3)
+      return HCmpLeDirect;
+    break;
+  case MOp::CmpGt:
+    if (Direct3)
+      return HCmpGtDirect;
+    break;
+  case MOp::Branch:
+    if (!I.A.Mem)
+      return HBranchDirect;
+    break;
+  case MOp::Jump:
+    if (Code[I.Target0].Op == MOp::GcPoll)
+      return HJumpPoll;
+    break;
+  default:
+    break;
+  }
+  return static_cast<size_t>(I.Op);
+}
 
 } // namespace
 
@@ -187,59 +269,41 @@ void VM::installHandlers() {
     return;
   const void *const *Labels = nullptr;
   exec<true>(nullptr, 0, &Labels);
-  for (DInstr &I : DProg.Code) {
-    size_t H = static_cast<size_t>(I.Op);
-    bool Direct3 = !I.D.Mem && !I.A.Mem && !I.B.Mem;
-    switch (I.Op) {
-    case MOp::Mov:
-      if (!I.D.Mem && !I.A.Mem)
-        H = SMovDirect;
-      else if (!I.D.Mem)
-        H = SMovLoad;
-      else if (!I.A.Mem)
-        H = SMovStore;
-      break;
-    case MOp::Add:
-      if (Direct3)
-        H = SAddDirect;
-      break;
-    case MOp::Sub:
-      if (Direct3)
-        H = SSubDirect;
-      break;
-    case MOp::CmpEq:
-      if (Direct3)
-        H = SCmpEqDirect;
-      break;
-    case MOp::CmpNe:
-      if (Direct3)
-        H = SCmpNeDirect;
-      break;
-    case MOp::CmpLt:
-      if (Direct3)
-        H = SCmpLtDirect;
-      break;
-    case MOp::CmpLe:
-      if (Direct3)
-        H = SCmpLeDirect;
-      break;
-    case MOp::CmpGt:
-      if (Direct3)
-        H = SCmpGtDirect;
-      break;
-    case MOp::CmpGe:
-      if (Direct3)
-        H = SCmpGeDirect;
-      break;
-    case MOp::Branch:
-      if (!I.A.Mem)
-        H = SBranchDirect;
-      break;
-    default:
-      break;
-    }
+  // One backward pass, so each instruction's successor already has its
+  // handler when the instruction picks a fused pair.  A direct goto to the
+  // successor's installed handler, or to its plain one (which computes the
+  // same thing), is equivalent to dispatching through it.
+  size_t NextPlain = HNumHandlers, NextInstalled = HNumHandlers;
+  for (size_t K = DProg.Code.size(); K-- != 0;) {
+    DInstr &I = DProg.Code[K];
+    size_t Plain = plainHandler(I, DProg.Code);
+    size_t H = Plain;
+    for (const FusedPair &P : FusedPairs)
+      if (P.First == Plain &&
+          (P.Next == NextInstalled || P.Next == NextPlain)) {
+        H = P.Fused;
+        break;
+      }
     I.Handler = Labels[H];
+    NextPlain = Plain;
+    NextInstalled = H;
   }
+}
+
+std::vector<std::string> VM::fusedPairNames() {
+  std::vector<std::string> Names;
+  for (const FusedPair &P : FusedPairs)
+    Names.push_back(P.Name);
+  return Names;
+}
+
+const char *VM::fusedPairAt(uint32_t PC) {
+  const void *const *Labels = nullptr;
+  exec<true>(nullptr, 0, &Labels);
+  for (const FusedPair &P : FusedPairs)
+    if (DProg.Code[PC].Handler == Labels[P.Fused])
+      return P.Name;
+  return nullptr;
 }
 
 //===----------------------------------------------------------------------===//
@@ -250,8 +314,8 @@ template <bool Threaded>
 bool VM::exec(ThreadContext *TP, uint64_t Max,
               const void *const **LabelsOut) {
   // Handler table: the first 26 entries are in MOp declaration order
-  // (codegen/Machine.h); the rest are the specialized variants, in
-  // SpecializedHandler order.  Only the threaded tier dispatches through
+  // (codegen/Machine.h); the rest are the specialized variants and fused
+  // pairs, in Handler order.  Only the threaded tier dispatches through
   // it, but both instantiations define it, so every label is referenced.
   static const void *const Labels[] = {
       &&L_Mov,        &&L_Add,          &&L_Sub,       &&L_Mul,
@@ -263,12 +327,15 @@ bool VM::exec(ThreadContext *TP, uint64_t Max,
       &&L_Ret,        &&L_Trap,
       // Specialized variants.
       &&L_MovDirect,  &&L_MovLoad,      &&L_MovStore,  &&L_AddDirect,
-      &&L_SubDirect,  &&L_CmpEqDirect,  &&L_CmpNeDirect,
-      &&L_CmpLtDirect, &&L_CmpLeDirect, &&L_CmpGtDirect,
-      &&L_CmpGeDirect, &&L_BranchDirect,
+      &&L_CmpEqDirect, &&L_CmpLeDirect, &&L_CmpGtDirect, &&L_BranchDirect,
+      &&L_JumpPoll,
+  // Fused pairs.
+#define MGC_PAIR_ADDR(X, Y) &&L_##X##_##Y,
+      MGC_FUSED_PAIRS(MGC_PAIR_ADDR)
+#undef MGC_PAIR_ADDR
   };
-  static_assert(sizeof(Labels) / sizeof(Labels[0]) == SNumHandlers,
-                "handler table out of sync with MOp/SpecializedHandler");
+  static_assert(sizeof(Labels) / sizeof(Labels[0]) == HNumHandlers,
+                "handler table out of sync with MOp/Handler");
   if (LabelsOut) {
     *LabelsOut = Labels;
     return true;
@@ -300,37 +367,55 @@ bool VM::exec(ThreadContext *TP, uint64_t Max,
     Flushed = Retired;                                                        \
   } while (0)
 
+// The quantum boundary before dispatching *I: the instruction is counted
+// as retired *before* its body runs.
+#define MGC_BUDGET()                                                          \
+  if (Remaining == 0) {                                                       \
+    MGC_SYNC();                                                               \
+    return true;                                                              \
+  }                                                                           \
+  --Remaining;
+
 // Dispatch *I: the threaded tier jumps straight to its handler, the switch
-// tier goes back round the loop to `switch (I->Op)`.  The instruction is
-// counted as retired *before* its body runs.  Control-transfer bodies set
-// I and dispatch; fall-through bodies advance via MGC_FALL.  (A plain
-// block, not do-while(0): `continue` must reach the dispatch loop.)
+// tier goes back round the loop to `switch (I->Op)`.  Control-transfer
+// bodies set I and dispatch; fall-through bodies advance via MGC_FALL.  (A
+// plain block, not do-while(0): `continue` must reach the dispatch loop.)
 #define MGC_DISPATCH()                                                        \
   {                                                                           \
-    if (Remaining == 0) {                                                     \
-      MGC_SYNC();                                                             \
-      return true;                                                            \
-    }                                                                         \
-    --Remaining;                                                              \
+    MGC_BUDGET();                                                             \
     if constexpr (Threaded)                                                   \
       goto *I->Handler;                                                       \
     else                                                                      \
       continue;                                                               \
   }
 
-// End of a fall-through instruction: act on a pending error (set by this
-// instruction, or left behind by a preceding Branch whose condition read
-// failed), else advance.  Jump/Branch/Call/Ret bypass this, so a Branch
-// error is acted on one instruction late — a quirk both tiers share
-// because they share this code.
+// Error check and advance shared by MGC_FALL and MGC_FALL_TO: act on a
+// pending error (set by this instruction, or left behind by a preceding
+// Branch whose condition read failed), else step to the next instruction.
+// Jump/Branch/Call/Ret bypass this, so a Branch error is acted on one
+// instruction late — a quirk both tiers share because they share this
+// code.
+#define MGC_ADVANCE()                                                         \
+  if (__builtin_expect(!Error.empty(), 0)) {                                  \
+    MGC_SYNC();                                                               \
+    return false;                                                             \
+  }                                                                           \
+  ++I;
+
+// End of a fall-through instruction.
 #define MGC_FALL()                                                            \
   {                                                                           \
-    if (__builtin_expect(!Error.empty(), 0)) {                                \
-      MGC_SYNC();                                                             \
-      return false;                                                           \
-    }                                                                         \
-    ++I;                                                                      \
+    MGC_ADVANCE();                                                            \
     MGC_DISPATCH();                                                           \
+  }
+
+// End of the first half of a fused pair: exactly MGC_FALL, except that the
+// next handler is known statically, so it is a direct goto.
+#define MGC_FALL_TO(Label)                                                    \
+  {                                                                           \
+    MGC_ADVANCE();                                                            \
+    MGC_BUDGET();                                                             \
+    goto Label;                                                               \
   }
 
 #define MGC_FAIL(Msg)                                                         \
@@ -470,16 +555,44 @@ bool VM::exec(ThreadContext *TP, uint64_t Max,
     case MOp::NewArr:
     L_NewObj:
     L_NewArr: {
-      int64_t Len =
-          I->Op == MOp::NewArr ? static_cast<int64_t>(readD(I->A, Bases)) : 0;
-      if (I->Op == MOp::NewArr && Len < 0)
-        MGC_FAIL("negative open array length");
-      CurAllocSite = I->Site;
-      MGC_SYNC(); // allocate() can collect: PC and Instrs must be current.
-      Word Obj = allocate(static_cast<unsigned>(I->Index), Len, T.PC + 1);
-      CurAllocSite = NoAllocSite;
-      if (Obj == 0)
-        return false;
+      // Fixed-shape NEWs were sized at load; open arrays are sized here.
+      unsigned Desc = static_cast<unsigned>(I->Index);
+      int64_t Len = 0;
+      size_t Bytes = static_cast<size_t>(I->AuxImm);
+      if (I->Op == MOp::NewArr) {
+        Len = static_cast<int64_t>(readD(I->A, Bases));
+        if (Len < 0)
+          MGC_FAIL("negative open array length");
+        Bytes = TheHeap.allocationBytes(Desc, Len);
+      }
+      // Sampling profiler: charge the allocation to site + full stack (and
+      // take any due mutator sample) before a collection it may trigger
+      // can run.  A request that can never fit fails below, uncharged.
+      if (__builtin_expect(Profiler != nullptr, 0) &&
+          Bytes <= TheHeap.maxObjectBytes()) {
+        MGC_SYNC(); // The due-check and sample read Stats.Instrs and T.PC.
+        Profiler->onAlloc(*this, T, T.PC + 1, I->Site, Bytes);
+      }
+      // Fast path: a bump within the current space's limit, which cannot
+      // collect, so PC and Instrs stay unsynced.  Its header carries the
+      // site from birth (codegen's NoAllocSite narrows to NoSiteHdr).  A
+      // bump that fits the space also fits maxObjectBytes(), so the slow
+      // path's oversize diagnostic cannot apply.
+      Word Obj = Opts.GcStress
+                     ? 0
+                     : TheHeap.allocate(Desc, Len, Bytes,
+                                        Heap::clampSite(I->Site));
+      if (__builtin_expect(Obj != 0, 1)) {
+        if (Tracer)
+          Tracer->recordAlloc(I->Site, Obj, Bytes, /*Movable=*/true);
+      } else {
+        CurAllocSite = I->Site;
+        MGC_SYNC(); // allocate() can collect: PC and Instrs must be current.
+        Obj = allocate(Desc, Len, Bytes, T.PC + 1);
+        CurAllocSite = NoAllocSite;
+        if (Obj == 0)
+          return false;
+      }
       writeD(I->D, Bases, Obj);
       MGC_FALL();
     }
@@ -625,86 +738,84 @@ bool VM::exec(ThreadContext *TP, uint64_t Max,
     // Each computes exactly what its generic body would for the operand
     // pattern installHandlers() matched; MGC_FALL's error check is kept
     // even where the variant itself cannot fail, because a preceding Branch
-    // may have left a pending error.
+    // may have left a pending error.  Each body is written once, as an
+    // MGC_BODY_ macro that its plain label and the fused pairs it heads
+    // expand.
+
+// Direct operands: one indexed load (or store) off the base table.
+#define MGC_DD Bases[I->D.Base][I->D.Index]
+#define MGC_DA Bases[I->A.Base][I->A.Index]
+#define MGC_DB Bases[I->B.Base][I->B.Index]
+#define MGC_SCMP(Rel)                                                         \
+  (static_cast<int64_t>(MGC_DA) Rel static_cast<int64_t>(MGC_DB) ? 1 : 0)
+#define MGC_BODY_MovDirect MGC_DD = MGC_DA
+#define MGC_BODY_MovLoad MGC_DD = load(MGC_DA + static_cast<Word>(I->A.Disp))
+#define MGC_BODY_MovStore store(MGC_DD + static_cast<Word>(I->D.Disp), MGC_DA)
+#define MGC_BODY_AddDirect MGC_DD = MGC_DA + MGC_DB
+#define MGC_BODY_CmpEqDirect MGC_DD = MGC_DA == MGC_DB ? 1 : 0
+#define MGC_BODY_CmpLeDirect MGC_DD = MGC_SCMP(<=)
+#define MGC_BODY_CmpGtDirect MGC_DD = MGC_SCMP(>)
 
   L_MovDirect:
-    Bases[I->D.Base][I->D.Index] = Bases[I->A.Base][I->A.Index];
+    MGC_BODY_MovDirect;
     MGC_FALL();
-
   L_MovLoad:
-    Bases[I->D.Base][I->D.Index] =
-        load(Bases[I->A.Base][I->A.Index] + static_cast<Word>(I->A.Disp));
+    MGC_BODY_MovLoad;
     MGC_FALL();
-
   L_MovStore:
-    store(Bases[I->D.Base][I->D.Index] + static_cast<Word>(I->D.Disp),
-          Bases[I->A.Base][I->A.Index]);
+    MGC_BODY_MovStore;
     MGC_FALL();
-
   L_AddDirect:
-    Bases[I->D.Base][I->D.Index] =
-        Bases[I->A.Base][I->A.Index] + Bases[I->B.Base][I->B.Index];
+    MGC_BODY_AddDirect;
     MGC_FALL();
-
-  L_SubDirect:
-    Bases[I->D.Base][I->D.Index] =
-        Bases[I->A.Base][I->A.Index] - Bases[I->B.Base][I->B.Index];
-    MGC_FALL();
-
   L_CmpEqDirect:
-    Bases[I->D.Base][I->D.Index] =
-        Bases[I->A.Base][I->A.Index] == Bases[I->B.Base][I->B.Index] ? 1 : 0;
+    MGC_BODY_CmpEqDirect;
     MGC_FALL();
-
-  L_CmpNeDirect:
-    Bases[I->D.Base][I->D.Index] =
-        Bases[I->A.Base][I->A.Index] != Bases[I->B.Base][I->B.Index] ? 1 : 0;
-    MGC_FALL();
-
-  L_CmpLtDirect:
-    Bases[I->D.Base][I->D.Index] =
-        static_cast<int64_t>(Bases[I->A.Base][I->A.Index]) <
-                static_cast<int64_t>(Bases[I->B.Base][I->B.Index])
-            ? 1
-            : 0;
-    MGC_FALL();
-
   L_CmpLeDirect:
-    Bases[I->D.Base][I->D.Index] =
-        static_cast<int64_t>(Bases[I->A.Base][I->A.Index]) <=
-                static_cast<int64_t>(Bases[I->B.Base][I->B.Index])
-            ? 1
-            : 0;
+    MGC_BODY_CmpLeDirect;
     MGC_FALL();
-
   L_CmpGtDirect:
-    Bases[I->D.Base][I->D.Index] =
-        static_cast<int64_t>(Bases[I->A.Base][I->A.Index]) >
-                static_cast<int64_t>(Bases[I->B.Base][I->B.Index])
-            ? 1
-            : 0;
-    MGC_FALL();
-
-  L_CmpGeDirect:
-    Bases[I->D.Base][I->D.Index] =
-        static_cast<int64_t>(Bases[I->A.Base][I->A.Index]) >=
-                static_cast<int64_t>(Bases[I->B.Base][I->B.Index])
-            ? 1
-            : 0;
+    MGC_BODY_CmpGtDirect;
     MGC_FALL();
 
   L_BranchDirect:
-    I = Code +
-        (Bases[I->A.Base][I->A.Index] != 0 ? I->Target0 : I->Target1);
+    I = Code + (MGC_DA != 0 ? I->Target0 : I->Target1);
     MGC_DISPATCH();
+
+  L_JumpPoll:
+    I = Code + I->Target0;
+    MGC_BUDGET();
+    goto L_GcPoll;
+
+#define MGC_PAIR_BODY(X, Y)                                                   \
+  L_##X##_##Y : MGC_BODY_##X;                                                 \
+  MGC_FALL_TO(L_##Y);
+    MGC_FUSED_PAIRS(MGC_PAIR_BODY)
+#undef MGC_PAIR_BODY
   }
 
+#undef MGC_BODY_CmpGtDirect
+#undef MGC_BODY_CmpLeDirect
+#undef MGC_BODY_CmpEqDirect
+#undef MGC_BODY_AddDirect
+#undef MGC_BODY_MovStore
+#undef MGC_BODY_MovLoad
+#undef MGC_BODY_MovDirect
+#undef MGC_SCMP
+#undef MGC_DB
+#undef MGC_DA
+#undef MGC_DD
 #undef MGC_FAIL
+#undef MGC_FALL_TO
 #undef MGC_FALL
+#undef MGC_ADVANCE
 #undef MGC_DISPATCH
+#undef MGC_BUDGET
 #undef MGC_SYNC
 }
 
 template bool VM::exec<false>(ThreadContext *, uint64_t,
                               const void *const **);
 template bool VM::exec<true>(ThreadContext *, uint64_t, const void *const **);
+
+#undef MGC_FUSED_PAIRS

@@ -66,10 +66,10 @@ bool VM::fail(const std::string &Msg) {
   return false;
 }
 
-Word VM::allocate(unsigned DescIdx, int64_t Length, uint32_t RetPC) {
+Word VM::allocate(unsigned DescIdx, int64_t Length, size_t Bytes,
+                  uint32_t RetPC) {
   // Overflowing or over-capacity requests can never be satisfied by
   // collecting; fail deterministically instead of spinning the retry loop.
-  size_t Bytes = TheHeap.allocationBytes(DescIdx, Length);
   if (Bytes == Heap::BadAlloc || Bytes > TheHeap.maxObjectBytes()) {
     std::string Size = Bytes == Heap::BadAlloc
                            ? "more than SIZE_MAX"
@@ -77,13 +77,6 @@ Word VM::allocate(unsigned DescIdx, int64_t Length, uint32_t RetPC) {
     fail("out of memory: object of " + Size + " bytes exceeds heap capacity");
     return 0;
   }
-
-  // Sampling profiler: charge the allocation to site + full stack (and
-  // take any due mutator sample) before a collection this allocation may
-  // trigger can run.  Both tiers reach here with Stats.Instrs synced, so
-  // samples land at bit-identical instruction ordinals.
-  if (__builtin_expect(Profiler != nullptr, 0))
-    Profiler->onAlloc(*this, ctx(), RetPC, CurAllocSite, Bytes);
 
   if (Opts.GcStress) {
     if (!collect(RetPC, TheHeap.generational() && TheHeap.minorHeadroomOk()
@@ -109,18 +102,18 @@ Word VM::allocate(unsigned DescIdx, int64_t Length, uint32_t RetPC) {
   };
 
   if (!TheHeap.generational()) {
-    Word Obj = TheHeap.allocate(DescIdx, Length, HdrSite);
+    Word Obj = TheHeap.allocate(DescIdx, Length, Bytes, HdrSite);
     if (Obj != 0)
       return Record(Obj, /*TrackSurvival=*/true);
     if (!collect(RetPC))
       return 0;
-    Obj = TheHeap.allocate(DescIdx, Length, HdrSite);
+    Obj = TheHeap.allocate(DescIdx, Length, Bytes, HdrSite);
     // Demand escalation under a growth policy: each extra collection
     // doubles the semispace until the request fits or the cap is reached.
     while (Obj == 0 && TheHeap.requestGrowth()) {
       if (!collect(RetPC))
         return 0;
-      Obj = TheHeap.allocate(DescIdx, Length, HdrSite);
+      Obj = TheHeap.allocate(DescIdx, Length, Bytes, HdrSite);
     }
     if (Obj == 0) {
       fail("heap exhausted: " + std::to_string(TheHeap.usedBytes()) +
@@ -134,16 +127,16 @@ Word VM::allocate(unsigned DescIdx, int64_t Length, uint32_t RetPC) {
   // old space; everything else bump-allocates in the nursery, escalating
   // nursery-exhaustion to a minor collection and only then to a full one.
   if (Bytes > TheHeap.nurseryCapacityBytes()) {
-    Word Obj = TheHeap.allocateOld(DescIdx, Length, HdrSite);
+    Word Obj = TheHeap.allocateOld(DescIdx, Length, Bytes, HdrSite);
     if (Obj != 0)
       return Record(Obj, /*TrackSurvival=*/false);
     if (!collect(RetPC, GcKind::Full))
       return 0;
-    Obj = TheHeap.allocateOld(DescIdx, Length, HdrSite);
+    Obj = TheHeap.allocateOld(DescIdx, Length, Bytes, HdrSite);
     while (Obj == 0 && TheHeap.requestGrowth()) {
       if (!collect(RetPC, GcKind::Full))
         return 0;
-      Obj = TheHeap.allocateOld(DescIdx, Length, HdrSite);
+      Obj = TheHeap.allocateOld(DescIdx, Length, Bytes, HdrSite);
     }
     if (Obj == 0) {
       fail("heap exhausted: " + std::to_string(TheHeap.usedBytes()) +
@@ -153,23 +146,23 @@ Word VM::allocate(unsigned DescIdx, int64_t Length, uint32_t RetPC) {
     return Record(Obj, /*TrackSurvival=*/false);
   }
 
-  Word Obj = TheHeap.allocate(DescIdx, Length, HdrSite);
+  Word Obj = TheHeap.allocate(DescIdx, Length, Bytes, HdrSite);
   if (Obj != 0)
     return Record(Obj, /*TrackSurvival=*/true);
   if (TheHeap.minorHeadroomOk()) {
     if (!collect(RetPC, GcKind::Minor))
       return 0;
-    Obj = TheHeap.allocate(DescIdx, Length, HdrSite);
+    Obj = TheHeap.allocate(DescIdx, Length, Bytes, HdrSite);
     if (Obj != 0)
       return Record(Obj, /*TrackSurvival=*/true);
   }
   if (!collect(RetPC, GcKind::Full))
     return 0;
-  Obj = TheHeap.allocate(DescIdx, Length, HdrSite);
+  Obj = TheHeap.allocate(DescIdx, Length, Bytes, HdrSite);
   while (Obj == 0 && TheHeap.requestGrowth()) {
     if (!collect(RetPC, GcKind::Full))
       return 0;
-    Obj = TheHeap.allocate(DescIdx, Length, HdrSite);
+    Obj = TheHeap.allocate(DescIdx, Length, Bytes, HdrSite);
   }
   if (Obj == 0) {
     fail("heap exhausted: " + std::to_string(TheHeap.usedBytes()) +
@@ -321,32 +314,46 @@ void VM::finishRequest() {
 }
 
 bool VM::run() {
-  // Round-robin with instruction-level pre-emption.
+  // Round-robin with instruction-level pre-emption.  The rotation is
+  // compare-and-wrap: a quantum switch costs no division.
+  const uint64_t Q = Opts.Quantum;
   while (true) {
-    bool AnyLive = false;
-    for (size_t K = 0; K != Threads.size(); ++K) {
-      CurThread = static_cast<unsigned>((CurThread + (K != 0 ? 1 : 0)) %
-                                        Threads.size());
-      if (Threads[CurThread]->Live) {
-        AnyLive = true;
-        break;
+    const size_t N = Threads.size();
+    size_t Skipped = 0;
+    while (!Threads[CurThread]->Live) {
+      if (++Skipped == N)
+        return Error.empty();
+      if (++CurThread == N)
+        CurThread = 0;
+    }
+
+    // A thread found after skipping every other one runs alone, so its
+    // back-to-back quanta need no scheduler round trip: nothing between
+    // them can observe the boundary but the instruction-budget check.
+    // Batch whole quanta only while the budget cannot run out, so that
+    // check still fails after the same quantum.
+    uint64_t Max = Q;
+    if (Skipped + 1 == N && Q != 0) {
+      Max = UINT64_MAX;
+      if (Opts.InstrBudget) {
+        uint64_t Quanta = Stats.Instrs < Opts.InstrBudget
+                              ? (Opts.InstrBudget - Stats.Instrs) / Q
+                              : 0;
+        Max = Q * (Quanta > 1 ? Quanta : 1);
       }
     }
-    if (!AnyLive)
-      break;
-
     ThreadContext &T = *Threads[CurThread];
     if (Opts.Dispatch == DispatchTier::Threaded)
-      exec<true>(&T, Opts.Quantum, nullptr);
+      exec<true>(&T, Max, nullptr);
     else
-      exec<false>(&T, Opts.Quantum, nullptr);
+      exec<false>(&T, Max, nullptr);
     if (!Error.empty())
       return false;
     // Checked per quantum, not per instruction: cheap, and still a
     // deterministic point in the schedule.
     if (Opts.InstrBudget && Stats.Instrs > Opts.InstrBudget)
       return fail("instruction budget exceeded");
-    CurThread = static_cast<unsigned>((CurThread + 1) % Threads.size());
+    if (++CurThread == N)
+      CurThread = 0;
   }
-  return Error.empty();
 }

@@ -220,6 +220,12 @@ public:
   /// to Prog.Code.  Both dispatch tiers execute from it.
   DecodedProgram DProg;
 
+  /// The threaded tier's fused pairs, each named "First+Next" after its
+  /// two handlers, and the pair installed on instruction \p PC (nullptr
+  /// when there is none, or under the switch tier).
+  static std::vector<std::string> fusedPairNames();
+  const char *fusedPairAt(uint32_t PC);
+
 private:
   ThreadContext &ctx() { return *Threads[CurThread]; }
 
@@ -264,7 +270,14 @@ private:
   /// reaching a gc-point, or when stepping it hits a runtime error.
   bool handshakeThread(size_t TI);
 
-  Word allocate(unsigned DescIdx, int64_t Length, uint32_t RetPC);
+  /// The allocation slow path: everything the executor's inline bump
+  /// (Heap::allocate within the current limit) does not cover — the
+  /// oversize diagnostic, GcStress, collect-and-retry, growth, objects too
+  /// large for the nursery, and exhaustion.  \p Bytes is
+  /// Heap::allocationBytes of the request; \p RetPC is the gc-point's
+  /// table pc.  Callers must have PC and Stats.Instrs synced.
+  Word allocate(unsigned DescIdx, int64_t Length, size_t Bytes,
+                uint32_t RetPC);
 
   /// Retires one ReqDone() marker: accounts the request window against the
   /// current counters, records it with the tracer, and runs RequestHook.

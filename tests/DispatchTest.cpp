@@ -21,7 +21,13 @@
 #include "Programs.h"
 #include "TestUtil.h"
 
+#include "obs/Trace.h"
+#include "workload/Server.h"
+
 #include <gtest/gtest.h>
+
+#include <map>
+#include <set>
 
 using namespace mgc;
 using namespace mgc::test;
@@ -39,21 +45,21 @@ struct TierOutcome {
   std::vector<vm::Word> R;
 };
 
-/// Runs an already-compiled program under one dispatch tier.
+/// Runs an already-compiled program under one dispatch tier, with
+/// \p SpawnSpin threads running its Spin() procedure (if it has one).
 TierOutcome runTier(const vm::Program &Prog, vm::DispatchTier Tier,
                     vm::VMOptions VO, gc::CollectorOptions GCO,
-                    bool SpawnSpin = false) {
+                    unsigned SpawnSpin = 0, obs::Tracer *Tracer = nullptr) {
   VO.Dispatch = Tier;
   vm::VM M(Prog, VO);
   gc::installPreciseCollector(M, GCO);
-  if (SpawnSpin) {
-    int Idx = -1;
-    for (unsigned F = 0; F != Prog.Funcs.size(); ++F)
-      if (Prog.Funcs[F].Name == "Spin")
-        Idx = static_cast<int>(F);
-    if (Idx >= 0)
-      M.spawnThread(static_cast<unsigned>(Idx));
-  }
+  M.Tracer = Tracer;
+  int Idx = -1;
+  for (unsigned F = 0; F != Prog.Funcs.size(); ++F)
+    if (Prog.Funcs[F].Name == "Spin")
+      Idx = static_cast<int>(F);
+  for (unsigned K = 0; K != SpawnSpin && Idx >= 0; ++K)
+    M.spawnThread(static_cast<unsigned>(Idx));
   TierOutcome O;
   O.Ok = M.run();
   O.Out = M.Out;
@@ -442,6 +448,288 @@ TEST(DispatchTier, NamesAndActiveSelection) {
   vm::VMOptions VT; // default
   vm::VM N(*C.Prog, VT);
   EXPECT_EQ(N.Opts.Dispatch, vm::DispatchTier::Threaded);
+}
+
+//===----------------------------------------------------------------------===//
+// Quantum boundaries, fused pairs and the scheduler
+//===----------------------------------------------------------------------===//
+
+/// A compiled program for the quantum sweeps, with how many Spin threads
+/// to run next to it.
+struct QuantumProgram {
+  std::string Name;
+  std::unique_ptr<vm::Program> Prog;
+  unsigned Spins = 0;
+};
+
+/// The §6 programs (one thread) and four short server programs with two
+/// spin threads each, compiled for \p GenGc.
+std::vector<QuantumProgram> quantumPrograms(bool GenGc) {
+  std::vector<QuantumProgram> Out;
+  driver::CompilerOptions CO;
+  CO.WriteBarriers = GenGc;
+  CO.ThreadedPolls = true;
+  for (const programs::NamedProgram &P : programs::All) {
+    auto C = driver::compile(P.Source, CO);
+    EXPECT_TRUE(C.Prog) << P.Name << ":\n" << C.Diags.str();
+    if (C.Prog)
+      Out.push_back({P.Name, std::move(C.Prog), 0});
+  }
+  for (uint64_t Seed = 1; Seed <= 4; ++Seed) {
+    workload::ServerProgramConfig PC;
+    PC.Seed = Seed;
+    PC.Requests = 150;
+    PC.Spin = true;
+    auto C = driver::compile(workload::generateServerProgram(PC), CO);
+    EXPECT_TRUE(C.Prog) << "server " << Seed << ":\n" << C.Diags.str();
+    if (C.Prog)
+      Out.push_back({"server" + std::to_string(Seed), std::move(C.Prog), 2});
+  }
+  return Out;
+}
+
+TEST(DispatchQuantum, TiersIdenticalAtEveryQuantum) {
+  // Quantum 1 ends every quantum inside a fused pair's first half, 2 and 3
+  // split pairs at alternating places, 61 is the default.  A thread that
+  // runs alone batches its quanta; its counts must not depend on Quantum.
+  for (bool GenGc : {false, true}) {
+    uint64_t Collections = 0, RendezvousSteps = 0;
+    for (QuantumProgram &P : quantumPrograms(GenGc)) {
+      TierOutcome Ref;
+      for (uint64_t Q : {61, 1, 2, 3, 5}) {
+        vm::VMOptions VO;
+        VO.GenGc = GenGc;
+        VO.HeapBytes = P.Spins ? 8u << 10 : 48u << 10;
+        VO.Quantum = Q;
+        std::string Ctx = P.Name + (GenGc ? " gen-gc" : " two-space") +
+                          " quantum " + std::to_string(Q);
+        TierOutcome Sw =
+            runTier(*P.Prog, vm::DispatchTier::Switch, VO, {}, P.Spins);
+        TierOutcome Th =
+            runTier(*P.Prog, vm::DispatchTier::Threaded, VO, {}, P.Spins);
+        expectIdentical(Sw, Th, Ctx);
+        EXPECT_TRUE(Th.Ok) << Ctx << ": " << Th.Error;
+        Collections += Th.S.Collections;
+        RendezvousSteps += Th.S.RendezvousSteps;
+        if (Q == 61)
+          Ref = Th;
+        else if (P.Spins == 0)
+          expectIdentical(Ref, Th, Ctx + " against quantum 61");
+      }
+    }
+    // The sweep must collect, and stop spin threads for the rendezvous.
+    EXPECT_GT(Collections, 0u);
+    EXPECT_GT(RendezvousSteps, 0u);
+  }
+}
+
+TEST(DispatchQuantum, EveryFusedPairIsSelected) {
+  std::set<std::string> Seen;
+  for (bool GenGc : {false, true})
+    for (QuantumProgram &P : quantumPrograms(GenGc)) {
+      vm::VM M(*P.Prog);
+      for (uint32_t PC = 0; PC != P.Prog->Code.size(); ++PC)
+        if (const char *Name = M.fusedPairAt(PC))
+          Seen.insert(Name);
+      vm::VMOptions Sw;
+      Sw.Dispatch = vm::DispatchTier::Switch;
+      vm::VM N(*P.Prog, Sw);
+      for (uint32_t PC = 0; PC != P.Prog->Code.size(); ++PC)
+        EXPECT_EQ(N.fusedPairAt(PC), nullptr) << "switch tier, pc " << PC;
+    }
+  for (const std::string &Name : vm::VM::fusedPairNames())
+    EXPECT_TRUE(Seen.count(Name)) << Name << " is never selected";
+}
+
+TEST(DispatchQuantum, InstrBudgetFailsAtTheSameCount) {
+  // Budget failures are checked at quantum ends: the run stops at the first
+  // quantum end past the budget, with one thread (whose quanta are
+  // batched) as with three.
+  const char *Source = R"(
+MODULE M;
+VAR done: BOOLEAN; i: INTEGER;
+
+PROCEDURE Spin();
+VAR k: INTEGER;
+BEGIN
+  k := 0;
+  WHILE NOT done DO INC(k) END
+END Spin;
+
+BEGIN
+  done := FALSE;
+  i := 0;
+  LOOP INC(i) END
+END M.)";
+  driver::CompilerOptions CO;
+  CO.ThreadedPolls = true;
+  auto C = driver::compile(Source, CO);
+  ASSERT_TRUE(C.Prog) << C.Diags.str();
+  for (unsigned Spins : {0u, 2u})
+    for (uint64_t Q : {1, 2, 5, 61})
+      for (uint64_t Budget : {1000, 4321, 100000}) {
+        vm::VMOptions VO;
+        VO.Quantum = Q;
+        VO.InstrBudget = Budget;
+        std::string Ctx = std::to_string(Spins + 1) + " threads, quantum " +
+                          std::to_string(Q) + ", budget " +
+                          std::to_string(Budget);
+        TierOutcome Sw =
+            runTier(*C.Prog, vm::DispatchTier::Switch, VO, {}, Spins);
+        TierOutcome Th =
+            runTier(*C.Prog, vm::DispatchTier::Threaded, VO, {}, Spins);
+        expectIdentical(Sw, Th, Ctx);
+        EXPECT_EQ(Th.Error, "instruction budget exceeded") << Ctx;
+        EXPECT_EQ(Th.S.Instrs, (Budget / Q + 1) * Q) << Ctx;
+      }
+}
+
+//===----------------------------------------------------------------------===//
+// The inline allocation fast path
+//===----------------------------------------------------------------------===//
+
+/// Allocates a list of small records (fast path), then open arrays of
+/// \p ArrayLen elements (sized at run time).
+std::string allocSource(int ArrayLen) {
+  return R"(
+MODULE M;
+TYPE Node = REF RECORD next: Node; val: INTEGER END;
+     Vec = REF ARRAY OF INTEGER;
+VAR head, p: Node; v: Vec; i, s: INTEGER;
+BEGIN
+  head := NIL;
+  FOR i := 1 TO 3000 DO
+    p := NEW(Node);
+    p^.next := head;
+    p^.val := i;
+    IF i MOD 100 = 0 THEN head := NIL ELSE head := p END
+  END;
+  s := 0;
+  FOR i := 1 TO 6 DO
+    v := NEW(Vec, )" + std::to_string(ArrayLen) + R"();
+    v^[0] := i;
+    s := s + v^[0] + NUMBER(v)
+  END;
+  PutInt(s); PutLn();
+END M.)";
+}
+
+/// Sum of the tracer's per-site allocation counts.
+uint64_t tracedAllocs(const obs::Tracer &Tr) {
+  uint64_t N = 0;
+  for (const obs::SiteCounters &C : Tr.siteCounters())
+    N += C.Count;
+  return N;
+}
+
+TEST(DispatchAlloc, SlowPathCasesMatchAcrossTiers) {
+  struct Case {
+    const char *Name;
+    bool GenGc, Stress;
+    unsigned GrowthPct;
+    size_t HeapBytes, NurseryBytes;
+    int ArrayLen;
+  };
+  const Case Cases[] = {
+      {"stress", false, true, 0, 64u << 10, 0, 16},
+      {"stress gen-gc", true, true, 0, 64u << 10, 0, 16},
+      {"heap growth", false, false, 60, 8u << 10, 0, 400},
+      {"nursery exhaustion", true, false, 0, 64u << 10, 1u << 10, 16},
+      {"larger than the nursery", true, false, 0, 64u << 10, 1u << 10, 600},
+  };
+  for (const Case &K : Cases) {
+    driver::CompilerOptions CO;
+    CO.WriteBarriers = K.GenGc;
+    auto C = driver::compile(allocSource(K.ArrayLen), CO);
+    ASSERT_TRUE(C.Prog) << K.Name << ":\n" << C.Diags.str();
+    vm::VMOptions VO;
+    VO.GenGc = K.GenGc;
+    VO.GcStress = K.Stress;
+    VO.HeapGrowthPct = K.GrowthPct;
+    VO.HeapBytes = K.HeapBytes;
+    VO.NurseryBytes = K.NurseryBytes;
+    gc::CollectorOptions GCO;
+    GCO.CrossCheck = true;
+    obs::TracerConfig TC;
+    TC.Sites = &C.Prog->SiteTab;
+    obs::Tracer TrSw(TC), TrTh(TC);
+    TrSw.enable(nullptr);
+    TrTh.enable(nullptr);
+    TierOutcome Sw =
+        runTier(*C.Prog, vm::DispatchTier::Switch, VO, GCO, 0, &TrSw);
+    TierOutcome Th =
+        runTier(*C.Prog, vm::DispatchTier::Threaded, VO, GCO, 0, &TrTh);
+    expectIdentical(Sw, Th, K.Name);
+    ASSERT_TRUE(Th.Ok) << K.Name << ": " << Th.Error;
+    int64_t Expect = 6 * K.ArrayLen + 21;
+    EXPECT_EQ(Th.Out, std::to_string(Expect) + "\n") << K.Name;
+    EXPECT_GT(Th.S.Collections, 0u) << K.Name;
+    EXPECT_EQ(tracedAllocs(TrTh), 3006u) << K.Name;
+    for (size_t S = 0; S != TrSw.siteCounters().size(); ++S) {
+      EXPECT_EQ(TrSw.siteCounters()[S].Count, TrTh.siteCounters()[S].Count)
+          << K.Name << " site " << S;
+      EXPECT_EQ(TrSw.siteCounters()[S].Bytes, TrTh.siteCounters()[S].Bytes)
+          << K.Name << " site " << S;
+    }
+  }
+}
+
+TEST(DispatchAlloc, HeadersCountsAndTracerAgree) {
+  // No collection: every object the run allocated is still in the heap,
+  // so the header sites must reproduce the tracer's per-site counts, and
+  // the heap's own allocation counters must equal their sum — with the
+  // tracer absent, attached but disabled, or enabled, on both tiers.
+  driver::CompilerOptions CO;
+  auto C = driver::compile(allocSource(16), CO);
+  ASSERT_TRUE(C.Prog) << C.Diags.str();
+  obs::TracerConfig TC;
+  TC.Sites = &C.Prog->SiteTab;
+  obs::Tracer Enabled(TC);
+  Enabled.enable(nullptr);
+  std::vector<uint64_t> Expected; // Per-site counts of the enabled run.
+  for (vm::DispatchTier Tier :
+       {vm::DispatchTier::Switch, vm::DispatchTier::Threaded})
+    for (int Mode = 0; Mode != 3; ++Mode) {
+      std::string Ctx = std::string(vm::dispatchTierName(Tier)) +
+                        (Mode == 0 ? " no tracer"
+                                   : Mode == 1 ? " disabled tracer"
+                                               : " enabled tracer");
+      vm::VMOptions VO;
+      VO.Dispatch = Tier;
+      VO.HeapBytes = 1u << 20;
+      vm::VM M(*C.Prog, VO);
+      gc::installPreciseCollector(M);
+      obs::Tracer Disabled(TC), Tr(TC);
+      if (Mode == 2)
+        Tr.enable(nullptr);
+      M.Tracer = Mode == 0 ? nullptr : Mode == 1 ? &Disabled : &Tr;
+      ASSERT_TRUE(M.run()) << Ctx << ": " << M.Error;
+      ASSERT_EQ(M.Stats.Collections, 0u) << Ctx;
+      EXPECT_EQ(tracedAllocs(Disabled), 0u) << Ctx;
+      std::vector<uint64_t> BySite(C.Prog->SiteTab.Sites.size(), 0);
+      uint64_t Objects = 0, Bytes = 0;
+      M.TheHeap.forEachObject([&](vm::Word Obj) {
+        uint32_t Site = vm::Heap::headerSite(*reinterpret_cast<vm::Word *>(Obj));
+        ASSERT_LT(Site, BySite.size()) << Ctx;
+        ++BySite[Site];
+        ++Objects;
+        Bytes += M.TheHeap.objectWords(Obj) * sizeof(vm::Word);
+      });
+      EXPECT_EQ(M.TheHeap.ObjectsAllocated, Objects) << Ctx;
+      EXPECT_EQ(M.TheHeap.BytesAllocated, Bytes) << Ctx;
+      EXPECT_EQ(Objects, 3006u) << Ctx;
+      if (Mode == 2) {
+        std::vector<uint64_t> Traced;
+        for (const obs::SiteCounters &SC : Tr.siteCounters())
+          Traced.push_back(SC.Count);
+        EXPECT_EQ(Traced, BySite) << Ctx;
+        if (Expected.empty())
+          Expected = Traced;
+      }
+      if (!Expected.empty()) {
+        EXPECT_EQ(BySite, Expected) << Ctx;
+      }
+    }
 }
 
 } // namespace

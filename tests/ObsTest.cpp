@@ -613,4 +613,34 @@ TEST(ObsReportOrdering, TiedSitesRenderInIdOrder) {
   EXPECT_LT(J0, J1);
 }
 
+//===----------------------------------------------------------------------===//
+// JSON string escaping
+//===----------------------------------------------------------------------===//
+
+TEST(ObsReportJson, ControlCharactersRoundTrip) {
+  // The tracer and mgc-report --json share one escaper: a string with
+  // control characters leaves the report exactly as the trace wrote it,
+  // and decodes back to the original bytes.
+  const std::string Program = std::string("p\x01q\tr\n\"s\\") + '\x1f';
+  std::string Meta = "{\"type\":\"meta\",\"program\":";
+  obs::appendJsonString(Meta, Program);
+  Meta += ",\"gen_gc\":0,\"site_table_bytes\":0,\"sites\":0}";
+  std::istringstream In(Meta + "\n");
+  obs::TraceReport R;
+  std::string Err;
+  ASSERT_TRUE(obs::readTrace(In, R, Err)) << Err;
+  EXPECT_EQ(R.Program, Program);
+
+  const std::string Escaped = "\"p\\u0001q\\tr\\n\\\"s\\\\\\u001f\"";
+  std::string Json = obs::renderReportJson(R);
+  EXPECT_NE(Json.find("\"program\":" + Escaped), std::string::npos) << Json;
+
+  obs::TraceRecord Back;
+  ASSERT_TRUE(obs::parseTraceLine("{\"type\":\"meta\",\"program\":" +
+                                      Escaped + "}",
+                                  Back, Err))
+      << Err;
+  EXPECT_EQ(Back.getStr("program"), Program);
+}
+
 } // namespace
