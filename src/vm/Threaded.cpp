@@ -312,7 +312,7 @@ const char *VM::fusedPairAt(uint32_t PC) {
 
 template <bool Threaded>
 bool VM::exec(ThreadContext *TP, uint64_t Max,
-              const void *const **LabelsOut) {
+              const void *const **LabelsOut, bool Rotate) {
   // Handler table: the first 26 entries are in MOp declaration order
   // (codegen/Machine.h); the rest are the specialized variants and fused
   // pairs, in Handler order.  Only the threaded tier dispatches through
@@ -341,6 +341,9 @@ bool VM::exec(ThreadContext *TP, uint64_t Max,
     return true;
   }
 
+  // Each pass through here starts a quantum of thread *TP: its state is
+  // (re)loaded into the locals below.
+Quantum:
   ThreadContext &T = *TP;
   if (!T.Live || Max == 0)
     return true;
@@ -370,10 +373,8 @@ bool VM::exec(ThreadContext *TP, uint64_t Max,
 // The quantum boundary before dispatching *I: the instruction is counted
 // as retired *before* its body runs.
 #define MGC_BUDGET()                                                          \
-  if (Remaining == 0) {                                                       \
-    MGC_SYNC();                                                               \
-    return true;                                                              \
-  }                                                                           \
+  if (Remaining == 0)                                                         \
+    goto QuantumEnd;                                                          \
   --Remaining;
 
 // Dispatch *I: the threaded tier jumps straight to its handler, the switch
@@ -794,6 +795,19 @@ bool VM::exec(ThreadContext *TP, uint64_t Max,
 #undef MGC_PAIR_BODY
   }
 
+QuantumEnd:
+  // The quantum is used up.  Under run(), switch threads here rather than
+  // in a return trip through it: the same round-robin step and budget
+  // check run() makes after a quantum, in the same order.
+  MGC_SYNC();
+  if (!Rotate || (Opts.InstrBudget && Stats.Instrs > Opts.InstrBudget))
+    return true;
+  if (++CurThread == Threads.size())
+    CurThread = 0;
+  schedule(Max); // Finds a live thread: T still is one.
+  TP = Threads[CurThread].get();
+  goto Quantum;
+
 #undef MGC_BODY_CmpGtDirect
 #undef MGC_BODY_CmpLeDirect
 #undef MGC_BODY_CmpEqDirect
@@ -814,8 +828,9 @@ bool VM::exec(ThreadContext *TP, uint64_t Max,
 #undef MGC_SYNC
 }
 
-template bool VM::exec<false>(ThreadContext *, uint64_t,
-                              const void *const **);
-template bool VM::exec<true>(ThreadContext *, uint64_t, const void *const **);
+template bool VM::exec<false>(ThreadContext *, uint64_t, const void *const **,
+                              bool);
+template bool VM::exec<true>(ThreadContext *, uint64_t, const void *const **,
+                             bool);
 
 #undef MGC_FUSED_PAIRS

@@ -292,7 +292,7 @@ void VM::collectNow() {
 }
 
 bool VM::step(ThreadContext &T) {
-  return exec<false>(&T, 1, nullptr) && T.Live;
+  return exec<false>(&T, 1, nullptr, /*Rotate=*/false) && T.Live;
 }
 
 void VM::finishRequest() {
@@ -314,46 +314,24 @@ void VM::finishRequest() {
 }
 
 bool VM::run() {
-  // Round-robin with instruction-level pre-emption.  The rotation is
-  // compare-and-wrap: a quantum switch costs no division.
-  const uint64_t Q = Opts.Quantum;
-  while (true) {
-    const size_t N = Threads.size();
-    size_t Skipped = 0;
-    while (!Threads[CurThread]->Live) {
-      if (++Skipped == N)
-        return Error.empty();
-      if (++CurThread == N)
-        CurThread = 0;
-    }
-
-    // A thread found after skipping every other one runs alone, so its
-    // back-to-back quanta need no scheduler round trip: nothing between
-    // them can observe the boundary but the instruction-budget check.
-    // Batch whole quanta only while the budget cannot run out, so that
-    // check still fails after the same quantum.
-    uint64_t Max = Q;
-    if (Skipped + 1 == N && Q != 0) {
-      Max = UINT64_MAX;
-      if (Opts.InstrBudget) {
-        uint64_t Quanta = Stats.Instrs < Opts.InstrBudget
-                              ? (Opts.InstrBudget - Stats.Instrs) / Q
-                              : 0;
-        Max = Q * (Quanta > 1 ? Quanta : 1);
-      }
-    }
+  // Round-robin with instruction-level pre-emption.  Threads switch inside
+  // the executor at quantum ends; control comes back here only when a
+  // thread finishes, an error occurs or the instruction budget runs out.
+  uint64_t Max;
+  while (schedule(Max)) {
     ThreadContext &T = *Threads[CurThread];
     if (Opts.Dispatch == DispatchTier::Threaded)
-      exec<true>(&T, Max, nullptr);
+      exec<true>(&T, Max, nullptr, /*Rotate=*/true);
     else
-      exec<false>(&T, Max, nullptr);
+      exec<false>(&T, Max, nullptr, /*Rotate=*/true);
     if (!Error.empty())
       return false;
     // Checked per quantum, not per instruction: cheap, and still a
     // deterministic point in the schedule.
     if (Opts.InstrBudget && Stats.Instrs > Opts.InstrBudget)
       return fail("instruction budget exceeded");
-    if (++CurThread == N)
+    if (++CurThread == Threads.size())
       CurThread = 0;
   }
+  return Error.empty();
 }

@@ -247,12 +247,23 @@ private:
   /// The executor (vm/Threaded.cpp): runs up to \p Max instructions of
   /// \p T, dispatching by computed goto (Threaded) or by a switch loop.
   /// Each opcode's body is written once and shared by both dispatchers.
-  /// Returns false on a runtime error; a thread that finishes returns
-  /// true with Live cleared.  With \p LabelsOut set it only
+  /// With \p Rotate it is run()'s scheduler as well: at each quantum end it
+  /// moves on to the next live thread (schedule()) instead of returning.
+  /// Returns false on a runtime error; returns true when a thread finishes
+  /// (Live cleared), when the quantum ends without \p Rotate, or when the
+  /// instruction budget is exceeded.  With \p LabelsOut set it only
   /// exports the handler-label table (indexed by MOp, then the specialized
-  /// variants) and runs nothing.
+  /// variants and fused pairs) and runs nothing.
   template <bool Threaded>
-  bool exec(ThreadContext *T, uint64_t Max, const void *const **LabelsOut);
+  bool exec(ThreadContext *T, uint64_t Max, const void *const **LabelsOut,
+            bool Rotate = false);
+
+  /// Moves CurThread to the first live thread at or after it, round-robin,
+  /// and sets \p Max to how many instructions it may run: one quantum, or,
+  /// when every other thread is dead, as many whole quanta as keep the
+  /// per-quantum budget check failing at the same count (unbounded
+  /// without a budget).  False when no thread is live.
+  bool schedule(uint64_t &Max);
 
   /// Fills DProg's handler pointers for the active tier (no-op when the
   /// switch tier runs).
@@ -294,6 +305,30 @@ private:
   uint64_t ReqMarkCollections = 0;
   uint64_t ReqGcNanosAccum = 0;
 };
+
+inline bool VM::schedule(uint64_t &Max) {
+  const size_t N = Threads.size();
+  size_t Skipped = 0;
+  while (!Threads[CurThread]->Live) {
+    if (++Skipped == N)
+      return false;
+    if (++CurThread == N)
+      CurThread = 0;
+  }
+  const uint64_t Q = Opts.Quantum;
+  Max = Q;
+  if (Skipped + 1 == N && Q != 0) {
+    // Alone: nothing but the budget check can observe a quantum boundary.
+    Max = UINT64_MAX;
+    if (Opts.InstrBudget) {
+      uint64_t Quanta = Stats.Instrs < Opts.InstrBudget
+                            ? (Opts.InstrBudget - Stats.Instrs) / Q
+                            : 0;
+      Max = Q * (Quanta > 1 ? Quanta : 1);
+    }
+  }
+  return true;
+}
 
 inline bool VM::nilFault(Word Addr) {
   if (__builtin_expect(Addr >= NilGuard, 1))

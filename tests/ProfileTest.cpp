@@ -78,6 +78,7 @@ struct ProfOutcome {
   obs::Profile P;
   std::vector<uint8_t> Body;
   uint64_t CopyWasteBytes = 0; ///< Nonzero iff a parallel copy ran.
+  uint64_t ObjectsAllocated = 0, BytesAllocated = 0; ///< The heap's count.
 };
 
 /// Runs an already-compiled program with the profiler attached under one
@@ -105,6 +106,8 @@ ProfOutcome runProfiled(const vm::Program &Prog, vm::VMOptions VO,
   O.Ok = M.run();
   O.Error = M.Error;
   O.CopyWasteBytes = M.TheHeap.CopyWasteBytes;
+  O.ObjectsAllocated = M.TheHeap.ObjectsAllocated;
+  O.BytesAllocated = M.TheHeap.BytesAllocated;
   Prof.finish(O.Ok, M.Error, M.Stats.Instrs);
   O.P = Prof.buildProfile();
   obs::encodeProfileBody(O.P, O.Body);
@@ -227,6 +230,48 @@ TEST(ProfIdentity, CorpusCrossTier) {
     EXPECT_EQ(Sw.P.WalkErrors, 0u) << CP.Name;
     EXPECT_EQ(Th.Body, Sw.Body)
         << CP.Name << ": profile body diverged across tiers";
+  }
+}
+
+TEST(ProfIdentity, AllocationPathsAcrossTiers) {
+  // The executor charges every allocation to the profiler before its bump
+  // or its slow path: each path must give both tiers the same samples at
+  // the same ordinals, and charge exactly the allocations the heap made.
+  struct Case {
+    const char *Name;
+    bool GenGc, Stress;
+    unsigned GrowthPct;
+    size_t HeapBytes, NurseryBytes;
+  };
+  const Case Cases[] = {
+      {"two-space", false, false, 0, 16u << 10, 0},
+      {"stress", false, true, 0, 64u << 10, 0},
+      {"heap growth", false, false, 60, 4u << 10, 0},
+      {"nursery exhaustion", true, false, 0, 64u << 10, 1u << 10},
+      {"stress gen-gc", true, true, 0, 64u << 10, 0},
+  };
+  for (const Case &K : Cases) {
+    driver::CompilerOptions CO;
+    CO.WriteBarriers = K.GenGc;
+    auto C = driver::compile(HotSource, CO);
+    ASSERT_TRUE(C.Prog != nullptr) << K.Name << ": " << C.Diags.str();
+    vm::VMOptions VO;
+    VO.GenGc = K.GenGc;
+    VO.GcStress = K.Stress;
+    VO.HeapGrowthPct = K.GrowthPct;
+    VO.HeapBytes = K.HeapBytes;
+    VO.NurseryBytes = K.NurseryBytes;
+    VO.Dispatch = vm::DispatchTier::Threaded;
+    ProfOutcome Th = runProfiled(*C.Prog, VO, {}, 97);
+    VO.Dispatch = vm::DispatchTier::Switch;
+    ProfOutcome Sw = runProfiled(*C.Prog, VO, {}, 97);
+    ASSERT_TRUE(Th.Ok) << K.Name << ": " << Th.Error;
+    ASSERT_TRUE(Sw.Ok) << K.Name << ": " << Sw.Error;
+    EXPECT_GT(Th.P.Samples, 0u) << K.Name;
+    EXPECT_EQ(Th.Body, Sw.Body) << K.Name << ": profile body diverged";
+    EXPECT_EQ(Th.P.Allocs, 20000u) << K.Name;
+    EXPECT_EQ(Th.P.Allocs, Th.ObjectsAllocated) << K.Name;
+    EXPECT_EQ(Th.P.AllocBytes, Th.BytesAllocated) << K.Name;
   }
 }
 

@@ -38,10 +38,15 @@
 # for the four §6 benchmark programs and the frozen corpus in both
 # collector modes.
 #
+# Every step runs to the end, whatever an earlier one did, so a failing
+# gate never hides the evidence of the gates after it.  The script records
+# each step's exit status, prints one summary table (step, bound, measured
+# value, pass/fail) and exits non-zero if any step failed.
+#
 #   tools/check.sh [--skip-tests]
 #
 #===------------------------------------------------------------------------===#
-set -euo pipefail
+set -uo pipefail
 
 cd "$(dirname "$0")/.."
 ROOT="$PWD"
@@ -54,27 +59,76 @@ for Arg in "$@"; do
   esac
 done
 
+# --- Step bookkeeping ----------------------------------------------------
+# step NAME BOUND MEASURE CMD...: runs CMD, records its exit status, and
+# reads the measured value from MEASURE ("FILE:key.path[,key.path...]" in
+# a BENCH_*.json the step wrote, or "-" for none).
+ROWS=()
+FAILED=0
+measure() {
+  [ "$1" = "-" ] && { echo "-"; return; }
+  python3 - "$ROOT" "$1" <<'PYEOF' 2>/dev/null || echo "?"
+import json, sys
+root, spec = sys.argv[1], sys.argv[2]
+path, keys = spec.split(":", 1)
+doc = json.load(open(f"{root}/{path}"))
+vals = []
+for key in keys.split(","):
+    v = doc
+    for part in key.split("."):
+        v = v[part]
+    vals.append(str(v))
+print(" / ".join(vals))
+PYEOF
+}
+step() {
+  local Name=$1 Bound=$2 Spec=$3
+  shift 3
+  echo "=== check.sh: $Name"
+  "$@"
+  local Status=$?
+  local Result="pass"
+  if [ "$Status" -ne 0 ]; then
+    Result="FAIL (exit $Status)"
+    FAILED=1
+  fi
+  ROWS+=("$Name|$Bound|$(measure "$Spec")|$Result")
+}
+skipped() {
+  ROWS+=("$1|$2|-|skipped (--skip-tests)")
+}
+
 # --- Tier-1 verify -------------------------------------------------------
-cmake -B build -S .
-cmake --build build -j
+build_main() {
+  cmake -B build -S . && cmake --build build -j
+}
+step "build" "-" "-" build_main
 if [ "$SKIP_TESTS" -eq 0 ]; then
-  (cd build && ctest --output-on-failure -j)
+  step "tier-1 ctest" "all pass" "-" \
+    bash -c 'cd build && ctest --output-on-failure -j'
   # Second pass: the same suite through the generational collector (write
   # barriers + nursery + minor collections + remembered-set cross-check).
   # Outputs and assertions must not change.
-  (cd build && MGC_TEST_GEN_GC=1 ctest --output-on-failure -j)
+  step "tier-1 ctest, gen-gc" "all pass" "-" \
+    bash -c 'cd build && MGC_TEST_GEN_GC=1 ctest --output-on-failure -j'
 
   # AddressSanitizer + UndefinedBehaviorSanitizer over the whole suite, in
-  # its own build tree.  It runs straight after tier-1 so that no later
-  # gate's failure can keep it from running.  Any report fails the step
+  # its own build tree.  Any report fails the step
   # (-fno-sanitize-recover).  The fuzz self-test, which runs a full reducer
   # campaign (~9 minutes instrumented), is the one test left out.
-  cmake -B build-asan -S . \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -O1 -g"
-  cmake --build build-asan --target mgc_tests mgc_fuzz_tests -j "$(nproc)"
-  (cd build-asan && ctest --output-on-failure -j "$(nproc)" \
-     -E 'FuzzSelfTest\.InjectedDeltaBitBugCaughtAndReduced')
+  asan() {
+    cmake -B build-asan -S . \
+      -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -O1 -g" &&
+    cmake --build build-asan --target mgc_tests mgc_fuzz_tests -j "$(nproc)" &&
+    (cd build-asan && ctest --output-on-failure -j "$(nproc)" \
+       -E 'FuzzSelfTest\.InjectedDeltaBitBugCaughtAndReduced')
+  }
+  step "ASan+UBSan ctest" "no report" "-" asan
+else
+  skipped "tier-1 ctest" "all pass"
+  skipped "tier-1 ctest, gen-gc" "all pass"
+  skipped "ASan+UBSan ctest" "no report"
 fi
 
 # --- Decode perf trajectory ---------------------------------------------
@@ -82,7 +136,7 @@ fi
 # (Older google-benchmark releases reject the "0.05x" repetition syntax,
 # so pass plain seconds.)
 MIN_TIME="${BENCH_MIN_TIME:-0.05}"
-./build/bench/micro_decode \
+step "bench/micro_decode" "-" "-" ./build/bench/micro_decode \
   --benchmark_filter='BM_Decode|BM_BuildMapIndex|BM_FullCollection' \
   --benchmark_min_time="$MIN_TIME" \
   --benchmark_out="$ROOT/BENCH_decode.json" \
@@ -92,7 +146,7 @@ MIN_TIME="${BENCH_MIN_TIME:-0.05}"
 # --- Generational pause trajectory --------------------------------------
 # verifyModes() inside the binary runs every workload in both modes with
 # cross-checks on and exits non-zero on divergence, failing this script.
-./build/bench/gengc \
+step "bench/gengc" "modes agree" "-" ./build/bench/gengc \
   --benchmark_out="$ROOT/BENCH_gengc.json" \
   --benchmark_out_format=json \
   --benchmark_format=console
@@ -103,7 +157,9 @@ MIN_TIME="${BENCH_MIN_TIME:-0.05}"
 # the issue gates (1% disabled, 3% enabled), failing this script.  Also
 # records pause p50/p95 per collector mode.  MGC_TRACE_RUNS tunes the
 # timing repetitions.
-(cd "$ROOT" && ./build/bench/trace_overhead)
+step "bench/trace_overhead" "<=1% off / <=3% on" \
+  "BENCH_trace.json:gate.gen_disabled_pct,gate.gen_enabled_pct" \
+  ./build/bench/trace_overhead
 
 # --- Heap snapshot gate + capture/analysis sweep -------------------------
 # snapshot_overhead gates attribution maintenance (<= 2% of collection
@@ -113,27 +169,32 @@ MIN_TIME="${BENCH_MIN_TIME:-0.05}"
 # $SNAPDIR for analysis, and emits BENCH_snapshot.json.
 SNAPDIR="$ROOT/build/snapshots"
 mkdir -p "$SNAPDIR"
-(cd "$ROOT" && MGC_SNAP_DIR="$SNAPDIR" ./build/bench/snapshot_overhead)
-for Snap in "$SNAPDIR"/*.snap; do
-  ./build/tools/mgc-heapsnap --top 5 "$Snap" > /dev/null
-done
-
-# The frozen corpus through the CLI pipeline, two-space and generational:
-# capture an at-exit snapshot with the capture-vs-recount-vs-conservative
-# cross-check on, analyze it, and diff the two modes' snapshots (same
-# program, so per-site growth is well-defined; exercises mgc-heapsnap
-# --diff end to end).
-for Mg in "$ROOT"/tests/corpus/*.mg; do
-  Base="$SNAPDIR/$(basename "$Mg" .mg)"
-  ./build/tools/mgc --gc-crosscheck --heap-snapshot "$Base.snap" \
-      "$Mg" > /dev/null
-  ./build/tools/mgc --gen-gc --gc-crosscheck \
-      --heap-snapshot "$Base.gen.snap" "$Mg" > /dev/null
-  ./build/tools/mgc-heapsnap --top 5 "$Base.snap" > /dev/null
-  ./build/tools/mgc-heapsnap --top 5 "$Base.gen.snap" > /dev/null
-  ./build/tools/mgc-heapsnap --diff "$Base.snap" "$Base.gen.snap" \
-      > /dev/null
-done
+step "bench/snapshot_overhead" "attr <=2%, capture <= 1 pause" \
+  "BENCH_snapshot.json:gate.attr_pct,gate.capture_within_pause" \
+  env MGC_SNAP_DIR="$SNAPDIR" ./build/bench/snapshot_overhead
+snapshot_sweep() {
+  local Snap Mg Base
+  for Snap in "$SNAPDIR"/*.snap; do
+    ./build/tools/mgc-heapsnap --top 5 "$Snap" > /dev/null || return 1
+  done
+  # The frozen corpus through the CLI pipeline, two-space and generational:
+  # capture an at-exit snapshot with the capture-vs-recount-vs-conservative
+  # cross-check on, analyze it, and diff the two modes' snapshots (same
+  # program, so per-site growth is well-defined; exercises mgc-heapsnap
+  # --diff end to end).
+  for Mg in "$ROOT"/tests/corpus/*.mg; do
+    Base="$SNAPDIR/$(basename "$Mg" .mg)"
+    ./build/tools/mgc --gc-crosscheck --heap-snapshot "$Base.snap" \
+        "$Mg" > /dev/null &&
+    ./build/tools/mgc --gen-gc --gc-crosscheck \
+        --heap-snapshot "$Base.gen.snap" "$Mg" > /dev/null &&
+    ./build/tools/mgc-heapsnap --top 5 "$Base.snap" > /dev/null &&
+    ./build/tools/mgc-heapsnap --top 5 "$Base.gen.snap" > /dev/null &&
+    ./build/tools/mgc-heapsnap --diff "$Base.snap" "$Base.gen.snap" \
+        > /dev/null || return 1
+  done
+}
+step "snapshot sweep" "cross-check ok" "-" snapshot_sweep
 
 # --- Dispatch-tier throughput gate ---------------------------------------
 # Runs the §6 benchmarks under both execution tiers (reference switch
@@ -142,7 +203,8 @@ done
 # when the geometric-mean mutator speedup of threaded over switch drops
 # below 1.5x.  Emits BENCH_dispatch.json.  MGC_DISPATCH_RUNS tunes the
 # timing repetitions.
-(cd "$ROOT" && ./build/bench/dispatch)
+step "bench/dispatch" ">=1.5x threaded/switch" \
+  "BENCH_dispatch.json:gate.geomean_speedup" ./build/bench/dispatch
 
 # --- Bounded-pause gate ---------------------------------------------------
 # Runs the §6 benchmarks plus a high-thread-count spin mix at
@@ -153,7 +215,9 @@ done
 # gates a >= 1.5x max-pause improvement at 4 workers on the
 # large-live-set workloads; on smaller hosts that gate is reported as
 # skipped.  MGC_PAUSE_RUNS tunes the timing repetitions.
-(cd "$ROOT" && ./build/bench/pause)
+step "bench/pause" ">=1.5x N1/N4 max pause" \
+  "BENCH_pause.json:gate.ratios.typereg,gate.ratios.destroy" \
+  ./build/bench/pause
 
 # --- Server-workload gate -------------------------------------------------
 # Drives three generated MG server programs (uniform, bursty, spin-mix
@@ -164,7 +228,8 @@ done
 # cross-policy output identity, then records requests/sec, latency
 # p50/p99/max, and mutator utilization per cell in BENCH_server.json.
 # MGC_SERVER_RUNS tunes the timing repetitions.
-(cd "$ROOT" && ./build/bench/server)
+step "bench/server" "determinism + attribution" "BENCH_server.json:pass" \
+  ./build/bench/server
 
 # --- Leak-triage gate -----------------------------------------------------
 # Measures the online growth detector's mutator cost on the gengc
@@ -175,7 +240,9 @@ done
 # and determinism (flags byte-identical across --gc-threads 1/2/4 and
 # both dispatch tiers).  Emits BENCH_leak.json; any failed gate exits
 # non-zero.  MGC_LEAK_RUNS tunes the timing repetitions.
-(cd "$ROOT" && ./build/bench/leak)
+step "bench/leak" "<=1% off / <=3% on, detect" \
+  "BENCH_leak.json:gate.gen_off_pct,gate.gen_on_pct,detect.pass" \
+  ./build/bench/leak
 
 # --- Sampling-profiler gate -----------------------------------------------
 # Times the gengc workloads with the profiler absent / attached-disabled /
@@ -184,7 +251,9 @@ done
 # function with zero table-walk errors, and verifies the threaded and
 # switch tiers produce byte-identical profile bodies.  Emits
 # BENCH_prof.json; MGC_PROF_RUNS tunes the timing repetitions.
-(cd "$ROOT" && ./build/bench/prof)
+step "bench/prof" "<=1% off / <=5% on, >=90% hot" \
+  "BENCH_prof.json:overhead_disabled_pct,overhead_enabled_pct" \
+  ./build/bench/prof
 
 # --- ThreadSanitizer sweep of the parallel collector ----------------------
 # The gc- and server-labeled suites drive the owner-partitioned
@@ -194,14 +263,19 @@ done
 # fails this step.  The TSan build tree is separate so the main build
 # stays instrumented-free.
 if [ "$SKIP_TESTS" -eq 0 ]; then
-  cmake -B build-tsan -S . \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCMAKE_CXX_FLAGS="-fsanitize=thread -O1 -g"
-  cmake --build build-tsan --target mgc_tests -j
-  (cd build-tsan && ctest -L gc --output-on-failure -j)
-  (cd build-tsan && ctest -L server --output-on-failure -j)
-  (cd build-tsan && ctest -L leak --output-on-failure -j)
-  (cd build-tsan && ctest -L prof --output-on-failure -j)
+  tsan_build() {
+    cmake -B build-tsan -S . \
+      -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DCMAKE_CXX_FLAGS="-fsanitize=thread -O1 -g" &&
+    cmake --build build-tsan --target mgc_tests -j
+  }
+  step "TSan build" "-" "-" tsan_build
+  for Label in gc server leak prof; do
+    step "TSan ctest -L $Label" "no report" "-" \
+      bash -c "cd build-tsan && ctest -L $Label --output-on-failure -j"
+  done
+else
+  skipped "TSan ctest" "no report"
 fi
 
 # --- Differential fuzz budget --------------------------------------------
@@ -209,7 +283,8 @@ fi
 # any divergence or generator defect.  BENCH_fuzz.json records throughput
 # (programs/sec) and feature-coverage fractions as trajectory markers.
 FUZZ_COUNT="${FUZZ_COUNT:-200}"
-./build/tools/mgc-fuzz --seed 1 --count "$FUZZ_COUNT" \
+step "mgc-fuzz ($FUZZ_COUNT programs)" "0 divergences" "-" \
+  ./build/tools/mgc-fuzz --seed 1 --count "$FUZZ_COUNT" \
   --out "$ROOT/fuzz-artifacts" --json "$ROOT/BENCH_fuzz.json"
 
 # --- BENCH_*.json provenance schema check ---------------------------------
@@ -218,6 +293,7 @@ FUZZ_COUNT="${FUZZ_COUNT:-200}"
 # object (support/Provenance.h), google-benchmark emitters carry the same
 # fields via AddCustomContext in "context".  A PR that breaks an emitter's
 # JSON or drops the provenance header fails here, not in a later analysis.
+schema_check() {
 python3 - "$ROOT"/BENCH_*.json <<'PYEOF'
 import json, sys
 bad = 0
@@ -238,11 +314,18 @@ if bad:
     sys.exit(1)
 print(f"schema-check: {len(sys.argv) - 1} BENCH files ok")
 PYEOF
+}
+step "BENCH schema check" "valid + provenance" "-" schema_check
 
-echo "check.sh: tier-1 ok (default + gen-gc); trace overhead ok;" \
-     "snapshot gate ok; dispatch gate ok; pause gate ok; server gate ok;" \
-     "leak gate ok; prof gate ok (+ TSan gc/server/leak/prof slices);" \
-     "fuzz ok ($FUZZ_COUNT programs); benchmarks written to" \
-     "BENCH_decode.json, BENCH_gengc.json, BENCH_trace.json," \
-     "BENCH_snapshot.json, BENCH_dispatch.json, BENCH_pause.json," \
-     "BENCH_server.json, BENCH_leak.json, BENCH_prof.json, BENCH_fuzz.json"
+# --- Summary -------------------------------------------------------------
+echo
+printf '%-30s %-34s %-28s %s\n' "step" "bound" "measured" "result"
+for Row in "${ROWS[@]}"; do
+  IFS='|' read -r Name Bound Value Result <<< "$Row"
+  printf '%-30s %-34s %-28s %s\n' "$Name" "$Bound" "$Value" "$Result"
+done
+if [ "$FAILED" -ne 0 ]; then
+  echo "check.sh: FAILED (see the table above)"
+  exit 1
+fi
+echo "check.sh: every step passed"
