@@ -192,8 +192,6 @@ namespace {
 /// specialized handler computes exactly what its generic body would, minus
 /// the operand-form tests the translation already answered.
 enum Handler : size_t {
-  HGcPoll = static_cast<size_t>(MOp::GcPoll),
-  HJump = static_cast<size_t>(MOp::Jump),
   HMovDirect = static_cast<size_t>(MOp::Trap) + 1, ///< Mov, no mem operand.
   HMovLoad,  ///< Mov, memory source, direct destination.
   HMovStore, ///< Mov, direct source, memory destination.
@@ -804,7 +802,7 @@ QuantumEnd:
     return true;
   if (++CurThread == Threads.size())
     CurThread = 0;
-  schedule(Max); // Finds a live thread: T still is one.
+  schedule(); // Finds a live thread: T still is one.
   TP = Threads[CurThread].get();
   goto Quantum;
 

@@ -317,13 +317,12 @@ bool VM::run() {
   // Round-robin with instruction-level pre-emption.  Threads switch inside
   // the executor at quantum ends; control comes back here only when a
   // thread finishes, an error occurs or the instruction budget runs out.
-  uint64_t Max;
-  while (schedule(Max)) {
+  while (schedule()) {
     ThreadContext &T = *Threads[CurThread];
     if (Opts.Dispatch == DispatchTier::Threaded)
-      exec<true>(&T, Max, nullptr, /*Rotate=*/true);
+      exec<true>(&T, Opts.Quantum, nullptr, /*Rotate=*/true);
     else
-      exec<false>(&T, Max, nullptr, /*Rotate=*/true);
+      exec<false>(&T, Opts.Quantum, nullptr, /*Rotate=*/true);
     if (!Error.empty())
       return false;
     // Checked per quantum, not per instruction: cheap, and still a

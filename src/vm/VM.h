@@ -258,12 +258,9 @@ private:
   bool exec(ThreadContext *T, uint64_t Max, const void *const **LabelsOut,
             bool Rotate = false);
 
-  /// Moves CurThread to the first live thread at or after it, round-robin,
-  /// and sets \p Max to how many instructions it may run: one quantum, or,
-  /// when every other thread is dead, as many whole quanta as keep the
-  /// per-quantum budget check failing at the same count (unbounded
-  /// without a budget).  False when no thread is live.
-  bool schedule(uint64_t &Max);
+  /// Moves CurThread to the first live thread at or after it, round-robin.
+  /// False when no thread is live.
+  bool schedule();
 
   /// Fills DProg's handler pointers for the active tier (no-op when the
   /// switch tier runs).
@@ -306,7 +303,7 @@ private:
   uint64_t ReqGcNanosAccum = 0;
 };
 
-inline bool VM::schedule(uint64_t &Max) {
+inline bool VM::schedule() {
   const size_t N = Threads.size();
   size_t Skipped = 0;
   while (!Threads[CurThread]->Live) {
@@ -314,18 +311,6 @@ inline bool VM::schedule(uint64_t &Max) {
       return false;
     if (++CurThread == N)
       CurThread = 0;
-  }
-  const uint64_t Q = Opts.Quantum;
-  Max = Q;
-  if (Skipped + 1 == N && Q != 0) {
-    // Alone: nothing but the budget check can observe a quantum boundary.
-    Max = UINT64_MAX;
-    if (Opts.InstrBudget) {
-      uint64_t Quanta = Stats.Instrs < Opts.InstrBudget
-                            ? (Opts.InstrBudget - Stats.Instrs) / Q
-                            : 0;
-      Max = Q * (Quanta > 1 ? Quanta : 1);
-    }
   }
   return true;
 }

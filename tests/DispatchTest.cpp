@@ -26,7 +26,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <set>
 
 using namespace mgc;
@@ -491,7 +490,7 @@ std::vector<QuantumProgram> quantumPrograms(bool GenGc) {
 TEST(DispatchQuantum, TiersIdenticalAtEveryQuantum) {
   // Quantum 1 ends every quantum inside a fused pair's first half, 2 and 3
   // split pairs at alternating places, 61 is the default.  A thread that
-  // runs alone batches its quanta; its counts must not depend on Quantum.
+  // runs alone must not see its quantum: its counts cannot depend on it.
   for (bool GenGc : {false, true}) {
     uint64_t Collections = 0, RendezvousSteps = 0;
     for (QuantumProgram &P : quantumPrograms(GenGc)) {
@@ -543,8 +542,7 @@ TEST(DispatchQuantum, EveryFusedPairIsSelected) {
 
 TEST(DispatchQuantum, InstrBudgetFailsAtTheSameCount) {
   // Budget failures are checked at quantum ends: the run stops at the first
-  // quantum end past the budget, with one thread (whose quanta are
-  // batched) as with three.
+  // quantum end past the budget, with one thread as with three.
   const char *Source = R"(
 MODULE M;
 VAR done: BOOLEAN; i: INTEGER;
