@@ -266,8 +266,9 @@ public:
       takeSample(M, T, RetPC);
   }
 
-  /// Every NewObj/NewArr that can fit the heap, from the executor with
-  /// counters synced, before any collection the allocation may trigger.
+  /// Every NewObj/NewArr that can fit the heap, from the executor while
+  /// armed, with counters synced, before any collection the allocation may
+  /// trigger.
   void onAlloc(vm::VM &M, vm::ThreadContext &T, uint32_t RetPC,
                uint32_t Site, uint64_t Bytes) {
     if (!Cfg.Enabled)

@@ -566,8 +566,10 @@ Quantum:
       }
       // Sampling profiler: charge the allocation to site + full stack (and
       // take any due mutator sample) before a collection it may trigger
-      // can run.  A request that can never fit fails below, uncharged.
-      if (__builtin_expect(Profiler != nullptr, 0) &&
+      // can run.  A request that can never fit fails below, uncharged.  A
+      // disabled profiler's onAlloc reads and records nothing, so it is not
+      // worth the sync.
+      if (__builtin_expect(Profiler != nullptr, 0) && Profiler->armed() &&
           Bytes <= TheHeap.maxObjectBytes()) {
         MGC_SYNC(); // The due-check and sample read Stats.Instrs and T.PC.
         Profiler->onAlloc(*this, T, T.PC + 1, I->Site, Bytes);
